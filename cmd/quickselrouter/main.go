@@ -16,8 +16,10 @@
 // /v1/replication/status observe the actual roles. Writes go to the owning
 // shard's primary; a 503 carrying X-Quickseld-Primary (a demoted node
 // pointing at the promoted one) re-aims the router and is retried once.
-// With -read-from-followers, estimate reads round-robin across the primary
-// and every healthy follower within -max-read-lag records of the primary.
+// With -read-from-followers, reads (estimate, batch estimate, versions,
+// accuracy: the routes quickseld's route table marks as reads) round-robin
+// across the primary and every healthy follower within -max-read-lag
+// records of the primary.
 //
 // Endpoints (full reference: docs/API.md):
 //
@@ -30,9 +32,9 @@
 //	POST   /v1/estimate/batch        multi-estimator batch, split by ring
 //	                                 owner, fanned out, merged in input order
 //	POST   /v1/{name}/train          train, routed to the owner's primary
-//	GET    /v1/{name}/versions       versions, routed to the owner's primary
+//	GET    /v1/{name}/versions       versions (same read policy)
 //	POST   /v1/{name}/rollback       rollback, routed to the owner's primary
-//	GET    /v1/{name}/accuracy       accuracy, routed to the owner's primary
+//	GET    /v1/{name}/accuracy       accuracy (same read policy)
 //	POST   /v1/snapshot              snapshot, fanned out to every primary
 //	GET    /v1/cluster/status        ring version + per-shard node health
 //	GET    /v1/cluster/telemetry     federated cluster telemetry (merged + per node)
@@ -105,7 +107,7 @@ func main() {
 		return nil
 	})
 	vnodes := flag.Int("vnodes", cluster.DefaultVnodes, "virtual nodes per shard on the placement ring (must match across routers)")
-	readFromFollowers := flag.Bool("read-from-followers", false, "balance estimate reads across caught-up healthy followers")
+	readFromFollowers := flag.Bool("read-from-followers", false, "balance read routes (estimate, batch, versions, accuracy) across caught-up healthy followers")
 	maxReadLag := flag.Uint64("max-read-lag", 0, "staleness bound for follower reads, in WAL records behind the primary (0 = fully caught up only)")
 	healthInterval := flag.Duration("health-interval", time.Second, "per-node health probe period")
 	proxyTimeout := flag.Duration("proxy-timeout", 30*time.Second, "per-attempt bound on one proxied shard request")

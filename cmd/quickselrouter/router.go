@@ -3,6 +3,7 @@ package main
 import (
 	"bytes"
 	"encoding/json"
+	"errors"
 	"fmt"
 	"io"
 	"log/slog"
@@ -31,21 +32,20 @@ const maxRetryAfter = 200 * time.Millisecond
 // tracker, proxies the /v1 surface to the owning shard, and serves the
 // cluster-level endpoints (/v1/cluster/status, /metrics, /readyz).
 //
-// Routing policy, by endpoint class:
+// Routing policy, by the kind quickseld's route table gives each route:
 //
 //   - Writes (create, drop, observe, train, rollback) go to the owning
 //     shard's primary. A 503 answer carrying X-Quickseld-Primary re-aims
 //     the tracker and is retried exactly once against the hinted address;
 //     a transport error is likewise retried once after the tracker's view
 //     refreshes. Beyond that the shard's answer is the client's answer.
-//   - Estimate reads (estimate, estimate/batch) go to the primary by
-//     default; with -read-from-followers they round-robin across the
-//     primary and every healthy follower within the staleness bound.
+//   - Reads (estimate, estimate/batch, versions, accuracy) go to the
+//     primary by default; with -read-from-followers they round-robin
+//     across the primary and every healthy follower within the staleness
+//     bound. Followers do not train, so a follower-served read — versions
+//     and accuracy included — describes that follower's serving model.
 //   - List fans out to every shard and merges; snapshot fans out to every
 //     primary.
-//   - Versions/accuracy reads go to the primary: followers do not train,
-//     so their lifecycle state trails the primary's even when caught up on
-//     the log.
 type Router struct {
 	tracker  *cluster.Tracker
 	client   *http.Client
@@ -123,21 +123,30 @@ func newRouter(tracker *cluster.Tracker, cfg routerConfig) *Router {
 		rt.shards[id] = &shardMetrics{}
 	}
 	m := rt.mux
-	m.HandleFunc("POST /v1/estimators", rt.handleCreate)
-	m.HandleFunc("GET /v1/estimators", rt.handleList)
-	m.HandleFunc("DELETE /v1/estimators/{name}", rt.byName(false))
-	m.HandleFunc("POST /v1/{name}/observe", rt.byName(false))
-	m.HandleFunc("GET /v1/{name}/estimate", rt.byName(true))
-	m.HandleFunc("POST /v1/{name}/estimate/batch", rt.byName(true))
+	// quickseld's route table drives the proxy, so a route added to the
+	// daemon is routed without a second edit: {name} routes go to the ring
+	// owner (follower-eligible when the table marks them as reads), and
+	// the daemon-wide routes listed here get a cluster-level handler.
+	// Operational routes (replication, telemetry) are per-node and not
+	// proxied; any other route without a handler fails the boot.
+	clusterWide := map[string]http.HandlerFunc{
+		"create":   rt.handleCreate,
+		"list":     rt.handleList,
+		"snapshot": rt.handleSnapshotFanout,
+		"metrics":  rt.handleMetrics,
+	}
+	for _, route := range server.Routes() {
+		if h, ok := clusterWide[route.Label]; ok {
+			m.HandleFunc(route.Pattern, h)
+		} else if strings.Contains(route.Pattern, "{name}") {
+			m.HandleFunc(route.Pattern, rt.byName(route.Kind == server.RouteRead))
+		} else if route.Kind != server.RouteOperational {
+			panic("quickselrouter: no routing for quickseld route " + route.Pattern)
+		}
+	}
 	m.HandleFunc("POST /v1/estimate/batch", rt.handleClusterBatch)
-	m.HandleFunc("POST /v1/{name}/train", rt.byName(false))
-	m.HandleFunc("GET /v1/{name}/versions", rt.byName(false))
-	m.HandleFunc("POST /v1/{name}/rollback", rt.byName(false))
-	m.HandleFunc("GET /v1/{name}/accuracy", rt.byName(false))
-	m.HandleFunc("POST /v1/snapshot", rt.handleSnapshotFanout)
 	m.HandleFunc("GET /v1/cluster/status", rt.handleClusterStatus)
 	m.HandleFunc("GET /v1/cluster/telemetry", rt.handleClusterTelemetry)
-	m.HandleFunc("GET /metrics", rt.handleMetrics)
 	m.HandleFunc("GET /healthz", func(w http.ResponseWriter, _ *http.Request) {
 		w.WriteHeader(http.StatusOK)
 		fmt.Fprintln(w, "ok")
@@ -290,10 +299,8 @@ func traceChild(sp *obs.Span, resp *http.Response) {
 	}
 }
 
-// proxyShard forwards a request to a shard, retrying once on a 503 (the
-// target is a demoted or still-booting node; the response's
-// X-Quickseld-Primary hint re-aims the tracker) or on a transport error
-// (the target just died; the tracker may already know the successor).
+// proxyShard forwards a request to a shard through exchange and copies the
+// answer to the client.
 func (rt *Router) proxyShard(w http.ResponseWriter, r *http.Request, shard string, read bool) {
 	sm := rt.shards[shard]
 	start := time.Now()
@@ -312,28 +319,49 @@ func (rt *Router) proxyShard(w http.ResponseWriter, r *http.Request, shard strin
 		body = b
 	}
 	reqID := requestID(r)
-	sp := obs.SpanFrom(r.Context())
-
-	target, followerRead := rt.pickTarget(shard, read)
-	sp.Stage("queue") // body read + target pick: time before the wire
-	if target == "" {
+	res, followerRead, err := rt.exchange(r, shard, read, reqID, body, obs.SpanFrom(r.Context()))
+	switch {
+	case errors.Is(err, errNoPrimary):
 		sm.errors.Add(1)
 		rt.reqErrors.Add(1)
 		w.Header().Set("Retry-After", "1")
 		rt.writeJSON(w, http.StatusServiceUnavailable,
 			errorBody{Error: fmt.Sprintf("shard %s has no known primary", shard)})
-		return
-	}
-
-	res, err := rt.doOnce(r, target, reqID, body)
-	sp.Stage("proxy")
-	if err == nil && res.status != http.StatusServiceUnavailable {
+	case res == nil:
+		sm.errors.Add(1)
+		rt.reqErrors.Add(1)
+		rt.writeJSON(w, http.StatusBadGateway,
+			errorBody{Error: fmt.Sprintf("shard %s unreachable: %v", shard, err)})
+	default:
+		if res.status >= 500 {
+			sm.errors.Add(1)
+		}
 		rt.replyWith(w, res, reqID, followerRead)
-		return
+	}
+}
+
+var errNoPrimary = errors.New("no known primary")
+
+// exchange sends one request to a shard: first to pickTarget's choice,
+// then — on a 503 (a demoted or still-booting node, whose
+// X-Quickseld-Primary hint re-aims the tracker) or a transport error (the
+// target just died; the tracker may already know the successor) — exactly
+// once more, to the hinted address or the shard's current primary. The
+// retry honors Retry-After up to maxRetryAfter. It returns the last answer
+// (nil when no attempt got one) and whether a follower gave it; stages,
+// when non-nil, receives the queue/proxy/retry stage marks.
+func (rt *Router) exchange(r *http.Request, shard string, read bool, reqID string, body []byte, stages *obs.Span) (*proxyResult, bool, error) {
+	target, followerRead := rt.pickTarget(shard, read)
+	stages.Stage("queue") // body read + target pick: time before the wire
+	if target == "" {
+		return nil, false, errNoPrimary
+	}
+	res, err := rt.doOnce(r, target, reqID, body)
+	stages.Stage("proxy")
+	if err == nil && res.status != http.StatusServiceUnavailable {
+		return res, followerRead, nil
 	}
 
-	// One retry. A 503 with a primary hint re-aims the tracker (rerouted);
-	// otherwise re-ask the tracker, which the health loop may have updated.
 	retryTarget := ""
 	if err == nil {
 		if hint := res.header.Get(replica.HeaderPrimary); hint != "" && hint != target {
@@ -343,56 +371,26 @@ func (rt *Router) proxyShard(w http.ResponseWriter, r *http.Request, shard strin
 		}
 		if ra := res.header.Get("Retry-After"); ra != "" {
 			if secs, perr := strconv.Atoi(ra); perr == nil && secs > 0 {
-				d := time.Duration(secs) * time.Second
-				if d > maxRetryAfter {
-					d = maxRetryAfter
-				}
 				select {
-				case <-time.After(d):
+				case <-time.After(min(time.Duration(secs)*time.Second, maxRetryAfter)):
 				case <-r.Context().Done():
-					return
+					return nil, false, r.Context().Err()
 				}
 			}
 		}
 	}
 	if retryTarget == "" {
-		// Reads retried against the primary, not another follower: the
+		// Reads retry against the primary, not another follower: the
 		// primary is the one target guaranteed to hold the estimator.
 		retryTarget, _ = rt.tracker.PrimaryURL(shard)
-		followerRead = false
 	}
 	if retryTarget == "" || rt.draining.Load() {
-		rt.upstreamError(w, sm, shard, err, res)
-		return
+		return res, false, err // the first answer stands
 	}
 	rt.retried.Add(1)
-	res2, err2 := rt.doOnce(r, retryTarget, reqID, body)
-	sp.Stage("retry")
-	if err2 != nil {
-		sm.errors.Add(1)
-		rt.reqErrors.Add(1)
-		rt.writeJSON(w, http.StatusBadGateway,
-			errorBody{Error: fmt.Sprintf("shard %s unreachable: %v", shard, err2)})
-		return
-	}
-	if res2.status >= 500 {
-		sm.errors.Add(1)
-	}
-	rt.replyWith(w, res2, reqID, followerRead)
-}
-
-// upstreamError turns a failed first attempt (with no viable retry target)
-// into the client-facing answer: the shard's own response when there was
-// one, a 502 otherwise.
-func (rt *Router) upstreamError(w http.ResponseWriter, sm *shardMetrics, shard string, err error, res *proxyResult) {
-	sm.errors.Add(1)
-	if res != nil {
-		rt.replyWith(w, res, "", false)
-		return
-	}
-	rt.reqErrors.Add(1)
-	rt.writeJSON(w, http.StatusBadGateway,
-		errorBody{Error: fmt.Sprintf("shard %s unreachable: %v", shard, err)})
+	res, err = rt.doOnce(r, retryTarget, reqID, body)
+	stages.Stage("retry")
+	return res, false, err
 }
 
 // replyWith copies an upstream exchange to the client.
@@ -643,64 +641,24 @@ func (rt *Router) handleClusterBatch(w http.ResponseWriter, r *http.Request) {
 }
 
 // estimateSubBatch sends one per-estimator sub-batch to its shard under the
-// read policy, with the same 503-hint retry the general proxy applies.
+// read policy, through the same exchange the general proxy uses.
 func (rt *Router) estimateSubBatch(r *http.Request, shard, estimator, reqID string, body []byte) ([]float64, error) {
 	sm := rt.shards[shard]
 	start := time.Now()
 	defer func() { sm.latency.Observe(time.Since(start)) }()
 	sm.requests.Add(1)
 
-	target, followerRead := rt.pickTarget(shard, true)
-	if target == "" {
+	sub, err := http.NewRequestWithContext(r.Context(), http.MethodPost, "/v1/"+estimator+"/estimate/batch", nil)
+	if err != nil {
 		sm.errors.Add(1)
-		return nil, fmt.Errorf("no known primary")
+		return nil, err
 	}
-	u := target + "/v1/" + estimator + "/estimate/batch"
-	sp := obs.SpanFrom(r.Context())
-	attempt := func(u string) (*proxyResult, error) {
-		req, err := http.NewRequestWithContext(r.Context(), http.MethodPost, u, bytes.NewReader(body))
-		if err != nil {
-			return nil, err
-		}
-		req.Header.Set("Content-Type", "application/json")
-		req.Header.Set("X-Request-Id", reqID)
-		req.Header.Set(obs.HeaderTraceParent, obs.FormatTraceParent(reqID, sp.SpanID(), sp != nil))
-		resp, err := rt.client.Do(req)
-		if err != nil {
-			return nil, err
-		}
-		defer resp.Body.Close()
-		b, err := io.ReadAll(io.LimitReader(resp.Body, server.MaxRequestBytes+1))
-		if err != nil {
-			return nil, err
-		}
-		traceChild(sp, resp)
-		return &proxyResult{status: resp.StatusCode, header: resp.Header, body: b}, nil
-	}
-	res, err := attempt(u)
-	if err != nil || res.status == http.StatusServiceUnavailable {
-		retry := ""
-		if err == nil {
-			if hint := res.header.Get(replica.HeaderPrimary); hint != "" && hint != target {
-				rt.tracker.AdoptPrimary(shard, hint)
-				rt.rerouted.Add(1)
-				retry = hint
-			}
-		}
-		if retry == "" {
-			retry, _ = rt.tracker.PrimaryURL(shard)
-		}
-		if retry == "" {
-			sm.errors.Add(1)
-			return nil, fmt.Errorf("shard unreachable: %v", err)
-		}
-		rt.retried.Add(1)
-		followerRead = false
-		res, err = attempt(retry + "/v1/" + estimator + "/estimate/batch")
-		if err != nil {
-			sm.errors.Add(1)
-			return nil, err
-		}
+	sub.Header.Set("Content-Type", "application/json")
+	// No stage marks: sub-batches run concurrently under one root span.
+	res, followerRead, err := rt.exchange(sub, shard, true, reqID, body, nil)
+	if res == nil {
+		sm.errors.Add(1)
+		return nil, err
 	}
 	if res.status != http.StatusOK {
 		sm.errors.Add(1)

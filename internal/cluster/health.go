@@ -211,8 +211,8 @@ func (t *Tracker) Stop() {
 func (t *Tracker) pollLoop(ns *nodeState) {
 	defer t.wg.Done()
 	// Deterministic per-node jitter stream: no shared rand, no lock.
-	rng := hashKey(ns.shard + "\x00" + ns.node.ID)
-	next := func() uint64 { rng = mix64(rng + 0x9e3779b97f4a7c15); return rng }
+	rng := obs.HashString(ns.shard + "\x00" + ns.node.ID)
+	next := func() uint64 { rng = obs.Mix64(rng + 0x9e3779b97f4a7c15); return rng }
 	failures := 0
 	for {
 		ok := t.probe(ns)

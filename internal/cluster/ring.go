@@ -33,6 +33,8 @@ import (
 	"fmt"
 	"sort"
 	"strings"
+
+	"quicksel/internal/obs"
 )
 
 // DefaultVnodes is the virtual-node count per shard. 128 points per shard
@@ -111,21 +113,15 @@ func BuildMap(shards []Shard) (Map, error) {
 // id=url pairs in sorted shard order. Node order within a shard is part of
 // the identity (Nodes[0] is the presumed primary).
 func (m Map) contentHash() uint64 {
-	h := uint64(fnvOffset)
-	write := func(s string) {
-		for i := 0; i < len(s); i++ {
-			h ^= uint64(s[i])
-			h *= fnvPrime
-		}
-	}
-	write("quickselmap/v1\n")
+	var b strings.Builder
+	b.WriteString("quickselmap/v1\n")
 	for _, sh := range m.Shards {
-		write("shard " + sh.ID + "\n")
+		b.WriteString("shard " + sh.ID + "\n")
 		for _, n := range sh.Nodes {
-			write("node " + n.ID + " " + n.URL + "\n")
+			b.WriteString("node " + n.ID + " " + n.URL + "\n")
 		}
 	}
-	return mix64(h)
+	return obs.HashString(b.String())
 }
 
 // ShardIDs lists the map's shard IDs in sorted order.
@@ -145,34 +141,6 @@ func (m Map) ShardByID(id string) (Shard, bool) {
 		}
 	}
 	return Shard{}, false
-}
-
-// FNV-1a 64-bit constants; the raw FNV value is finished with a
-// murmur-style mixer because FNV alone clusters on short suffix-varying
-// keys (estimator names, "shard/<i>" vnode labels) and ring balance lives
-// and dies on avalanche quality.
-const (
-	fnvOffset = 0xcbf29ce484222325
-	fnvPrime  = 0x100000001b3
-)
-
-func hashKey(s string) uint64 {
-	h := uint64(fnvOffset)
-	for i := 0; i < len(s); i++ {
-		h ^= uint64(s[i])
-		h *= fnvPrime
-	}
-	return mix64(h)
-}
-
-// mix64 is the splitmix64 finalizer: full-avalanche bijection over uint64.
-func mix64(x uint64) uint64 {
-	x ^= x >> 30
-	x *= 0xbf58476d1ce4e5b9
-	x ^= x >> 27
-	x *= 0x94d049bb133111eb
-	x ^= x >> 31
-	return x
 }
 
 // ringPoint is one virtual node on the ring.
@@ -207,12 +175,12 @@ func NewRing(m Map, vnodes int) (*Ring, error) {
 		vnodes: vnodes,
 		// The ring version folds the vnode count into the map version:
 		// routers disagreeing on either would place keys differently.
-		version: mix64(m.Version ^ uint64(vnodes)),
+		version: obs.Mix64(m.Version ^ uint64(vnodes)),
 	}
 	for si, id := range r.shards {
 		for i := 0; i < vnodes; i++ {
 			r.points = append(r.points, ringPoint{
-				hash:  hashKey(fmt.Sprintf("%s/%d", id, i)),
+				hash:  obs.HashString(fmt.Sprintf("%s/%d", id, i)),
 				shard: si,
 			})
 		}
@@ -230,7 +198,7 @@ func NewRing(m Map, vnodes int) (*Ring, error) {
 // Owner returns the shard ID owning a key: the shard of the first ring
 // point at or clockwise past the key's hash (wrapping at the top).
 func (r *Ring) Owner(key string) string {
-	h := hashKey(key)
+	h := obs.HashString(key)
 	i := sort.Search(len(r.points), func(i int) bool { return r.points[i].hash >= h })
 	if i == len(r.points) {
 		i = 0

@@ -229,3 +229,34 @@ func TestBuildMapValidation(t *testing.T) {
 		t.Errorf("URL not trimmed: %q", got)
 	}
 }
+
+// TestRingPlacementPinned freezes placement for a fixed key set: the
+// hash behind Owner is shared with trace sampling (obs.HashString), and any
+// change to it would silently move every estimator in a deployed cluster.
+// The expected owners and versions are the placement deployed clusters use.
+func TestRingPlacementPinned(t *testing.T) {
+	m := testMap(t, 3)
+	r, err := NewRing(m, DefaultVnodes)
+	if err != nil {
+		t.Fatalf("NewRing: %v", err)
+	}
+	if m.Version != 0xcf2ace46ac03e8c8 || r.Version() != 0x233da773dd70e1b3 {
+		t.Fatalf("map version %016x, ring version %016x: placement function changed", m.Version, r.Version())
+	}
+	for _, c := range []struct{ key, owner string }{
+		{"orders", "s01"},
+		{"lineitem", "s02"},
+		{"people", "s01"},
+		{"dmv", "s02"},
+		{"est000001", "s00"},
+		{"tenant-7.lineitem", "s01"},
+		{"warehouse/3/shipments/selectivity", "s01"},
+		{"a", "s01"},
+		{"", "s00"},
+		{"orders_2024", "s00"},
+	} {
+		if got := r.Owner(c.key); got != c.owner {
+			t.Errorf("Owner(%q) = %s, want %s", c.key, got, c.owner)
+		}
+	}
+}

@@ -109,12 +109,7 @@ func SampleRequestID(id string, rate float64) bool {
 	if rate <= 0 {
 		return false
 	}
-	var h uint64 = 14695981039346656037 // FNV-1a 64
-	for i := 0; i < len(id); i++ {
-		h ^= uint64(id[i])
-		h *= 1099511628211
-	}
-	return float64(h>>11)/(1<<53) < rate
+	return float64(HashString(id)>>11)/(1<<53) < rate
 }
 
 // MaxRequestIDLen bounds a caller-supplied request ID; longer values are

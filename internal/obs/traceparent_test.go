@@ -1,6 +1,7 @@
 package obs
 
 import (
+	"fmt"
 	"math"
 	"strings"
 	"testing"
@@ -129,17 +130,25 @@ func TestSampleRequestIDDeterministicAndBounded(t *testing.T) {
 		t.Error("NaN rate must sample nothing")
 	}
 
-	// The sampled fraction across many ids should track the rate.
+	// The sampled fraction over sequential IDs should track the rate for
+	// every boot prefix, not just on average: NewRequestID mints
+	// "<bootID>-<n>", and a weak hash spreads such runs poorly. A fixed
+	// prefix list keeps the check deterministic.
 	const n = 20000
-	hits := 0
-	for i := 0; i < n; i++ {
-		if SampleRequestID(NewRequestID(), 0.3) {
-			hits++
+	for _, boot := range []string{
+		"000000", "ffffff", "3f2a9c", "b7e151", "deadbe",
+		"0a1b2c", "9e3779", "c0ffee", "123456", "8badf0",
+	} {
+		hits := 0
+		for i := 1; i <= n; i++ {
+			if SampleRequestID(fmt.Sprintf("%s-%d", boot, i), 0.3) {
+				hits++
+			}
 		}
-	}
-	frac := float64(hits) / n
-	if frac < 0.25 || frac > 0.35 {
-		t.Fatalf("sampled fraction %.3f far from rate 0.3", frac)
+		frac := float64(hits) / n
+		if frac < 0.25 || frac > 0.35 {
+			t.Errorf("boot %s: sampled fraction %.3f far from rate 0.3", boot, frac)
+		}
 	}
 }
 

@@ -171,7 +171,7 @@ func TestEstimateBatchDuringRetrainSwap(t *testing.T) {
 	for err := range errs {
 		t.Fatal(err)
 	}
-	if !strings.Contains(metricsBody(t, ts.URL), "quickseld_requests_estimate_batch_total") {
+	if !strings.Contains(metricsBody(t, ts.URL), `quickseld_requests_total{route="estimate_batch"}`) {
 		t.Error("batch counter missing from /metrics")
 	}
 }

@@ -4,10 +4,9 @@ import (
 	"encoding/json"
 	"errors"
 	"fmt"
-	"math"
 	"net/http"
 	"net/http/pprof"
-	"strings"
+	"slices"
 	"sync/atomic"
 
 	"quicksel"
@@ -21,31 +20,72 @@ type Server struct {
 	reg *Registry
 	mux *http.ServeMux
 
-	// Request counters by endpoint, exposed on /metrics.
-	reqCreate        atomic.Uint64
-	reqObserve       atomic.Uint64
-	reqEstimate      atomic.Uint64
-	reqEstimateBatch atomic.Uint64
-	reqList          atomic.Uint64
-	reqTelemetry     atomic.Uint64
-	reqTrain         atomic.Uint64
-	reqDrop          atomic.Uint64
-	reqSnapshot      atomic.Uint64
-	reqMetrics       atomic.Uint64
-	reqVersions      atomic.Uint64
-	reqRollback      atomic.Uint64
-	reqAccuracy      atomic.Uint64
-	reqReplWAL       atomic.Uint64
-	reqReplSnapshot  atomic.Uint64
-	reqReplPromote   atomic.Uint64
-	reqReplStatus    atomic.Uint64
-	reqRoleRejected  atomic.Uint64
-	reqErrors        atomic.Uint64
+	// reqs counts served requests per route-table entry, in table order;
+	// /metrics exposes them as quickseld_requests_total{route}.
+	reqs            []routeCount
+	reqRoleRejected atomic.Uint64
+	reqErrors       atomic.Uint64
 
 	// promoteHook, when set, replaces Registry.Promote behind
 	// POST /v1/replication/promote (see SetPromoteHook).
 	promoteHook atomic.Pointer[func() (bool, error)]
 }
+
+type routeCount struct {
+	label string
+	n     atomic.Uint64
+}
+
+// RouteKind says how a route is served: which roles answer it, whether it
+// is traced, and where quickselrouter sends it.
+type RouteKind uint8
+
+const (
+	// RouteRead is traced and served on every role; quickselrouter may
+	// answer it from a caught-up follower under -read-from-followers.
+	RouteRead RouteKind = iota
+	// RouteWrite is traced and served by the primary only: a follower
+	// answers 503 + Retry-After + X-Quickseld-Primary.
+	RouteWrite
+	// RouteOperational is untraced and served on every role: replication
+	// and scrape traffic polls at high frequency and would wash client
+	// requests out of the debug ring.
+	RouteOperational
+)
+
+// Route is one entry of the route table.
+type Route struct {
+	Pattern string // "METHOD /path", as registered on the mux
+	Label   string // the route label on quickseld_requests_total
+	Kind    RouteKind
+	handle  func(*Server, http.ResponseWriter, *http.Request)
+}
+
+// routes is the daemon's HTTP surface, defined once: New registers the mux,
+// the follower write gate, the tracing exemption and the per-route request
+// counters from it, and quickselrouter builds its proxy table from it.
+var routes = []Route{
+	{"POST /v1/estimators", "create", RouteWrite, (*Server).handleCreate},
+	{"GET /v1/estimators", "list", RouteRead, (*Server).handleList},
+	{"DELETE /v1/estimators/{name}", "drop", RouteWrite, (*Server).handleDrop},
+	{"POST /v1/{name}/observe", "observe", RouteWrite, (*Server).handleObserve},
+	{"GET /v1/{name}/estimate", "estimate", RouteRead, (*Server).handleEstimate},
+	{"POST /v1/{name}/estimate/batch", "estimate_batch", RouteRead, (*Server).handleEstimateBatch},
+	{"POST /v1/{name}/train", "train", RouteWrite, (*Server).handleTrain},
+	{"GET /v1/{name}/versions", "versions", RouteRead, (*Server).handleVersions},
+	{"POST /v1/{name}/rollback", "rollback", RouteWrite, (*Server).handleRollback},
+	{"GET /v1/{name}/accuracy", "accuracy", RouteRead, (*Server).handleAccuracy},
+	{"POST /v1/snapshot", "snapshot", RouteWrite, (*Server).handleSnapshot},
+	{"GET /v1/replication/wal", "replication_wal", RouteOperational, (*Server).handleReplicationWAL},
+	{"GET /v1/replication/snapshot", "replication_snapshot", RouteOperational, (*Server).handleReplicationSnapshot},
+	{"POST /v1/replication/promote", "replication_promote", RouteOperational, (*Server).handlePromote},
+	{"GET /v1/replication/status", "replication_status", RouteOperational, (*Server).handleReplicationStatus},
+	{"GET /v1/telemetry", "telemetry", RouteOperational, (*Server).handleTelemetry},
+	{"GET /metrics", "metrics", RouteOperational, (*Server).handleMetrics},
+}
+
+// Routes returns a copy of the route table.
+func Routes() []Route { return slices.Clone(routes) }
 
 // MaxRequestBytes caps one /v1 JSON request body. Larger bodies get 413:
 // an unbounded decode would let a single client balloon the daemon's heap.
@@ -60,24 +100,11 @@ func New(cfg Config) (*Server, error) {
 	if err != nil {
 		return nil, err
 	}
-	s := &Server{reg: reg, mux: http.NewServeMux()}
-	s.mux.HandleFunc("POST /v1/estimators", s.handleCreate)
-	s.mux.HandleFunc("GET /v1/estimators", s.handleList)
-	s.mux.HandleFunc("DELETE /v1/estimators/{name}", s.handleDrop)
-	s.mux.HandleFunc("POST /v1/{name}/observe", s.handleObserve)
-	s.mux.HandleFunc("GET /v1/{name}/estimate", s.handleEstimate)
-	s.mux.HandleFunc("POST /v1/{name}/estimate/batch", s.handleEstimateBatch)
-	s.mux.HandleFunc("POST /v1/{name}/train", s.handleTrain)
-	s.mux.HandleFunc("GET /v1/{name}/versions", s.handleVersions)
-	s.mux.HandleFunc("POST /v1/{name}/rollback", s.handleRollback)
-	s.mux.HandleFunc("GET /v1/{name}/accuracy", s.handleAccuracy)
-	s.mux.HandleFunc("POST /v1/snapshot", s.handleSnapshot)
-	s.mux.HandleFunc("GET /v1/replication/wal", s.handleReplicationWAL)
-	s.mux.HandleFunc("GET /v1/replication/snapshot", s.handleReplicationSnapshot)
-	s.mux.HandleFunc("POST /v1/replication/promote", s.handlePromote)
-	s.mux.HandleFunc("GET /v1/replication/status", s.handleReplicationStatus)
-	s.mux.HandleFunc("GET /v1/telemetry", s.handleTelemetry)
-	s.mux.HandleFunc("GET /metrics", s.handleMetrics)
+	s := &Server{reg: reg, mux: http.NewServeMux(), reqs: make([]routeCount, len(routes))}
+	for i, rt := range routes {
+		s.reqs[i].label = rt.Label
+		s.mux.HandleFunc(rt.Pattern, s.serveRoute(rt, &s.reqs[i].n))
+	}
 	s.mux.HandleFunc("GET /healthz", func(w http.ResponseWriter, _ *http.Request) {
 		w.WriteHeader(http.StatusOK)
 		fmt.Fprintln(w, "ok")
@@ -104,52 +131,55 @@ func (s *Server) Registry() *Registry { return s.reg }
 // Close flushes, persists, and stops the background worker.
 func (s *Server) Close() error { return s.reg.Close() }
 
-// ServeHTTP implements http.Handler. API requests (/v1/*) are traced: each
-// gets a request ID (echoed in X-Request-Id), its handler marks stages
-// (decode, model, encode) on the span, and the completed trace lands in
-// the ring behind GET /debug/requests plus the threshold-gated slow log.
-// Operational endpoints (/metrics, probes, /debug) are served untraced so
-// scrapes don't wash real traffic out of the ring.
+// ServeHTTP implements http.Handler. Everything a route's kind implies is
+// applied per route by serveRoute; probes and /debug are served plain.
 func (s *Server) ServeHTTP(w http.ResponseWriter, r *http.Request) {
-	if !strings.HasPrefix(r.URL.Path, "/v1/") {
-		s.mux.ServeHTTP(w, r)
-		return
-	}
-	// Bound every /v1 body before any handler decodes it: an unbounded JSON
-	// body would otherwise be read into memory whole. Handlers surface the
-	// resulting *http.MaxBytesError as 413 via writeError.
-	if r.Body != nil {
-		r.Body = http.MaxBytesReader(w, r.Body, MaxRequestBytes)
-	}
-	if strings.HasPrefix(r.URL.Path, "/v1/replication/") || r.URL.Path == "/v1/telemetry" {
-		// Replication traffic (the WAL fetch long-polls at high frequency)
-		// and the router's telemetry poll are operational and allowed on
-		// any role: served untraced so they do not wash client traffic out
-		// of the debug ring.
-		s.mux.ServeHTTP(w, r)
-		return
-	}
-	if r.Method != http.MethodGet && !s.reg.IsPrimary() {
-		// Followers are read-only: writes go to the primary. 503 +
-		// Retry-After (not a redirect) so naive clients fail fast and
-		// cluster-aware ones read X-Quickseld-Primary and re-aim.
-		s.reqRoleRejected.Add(1)
-		s.reqErrors.Add(1)
-		w.Header().Set("Retry-After", "1")
-		if pu := s.reg.PrimaryURL(); pu != "" {
-			w.Header().Set(replica.HeaderPrimary, pu)
+	s.mux.ServeHTTP(w, r)
+}
+
+// serveRoute wraps one route-table handler. Every route's body is bounded
+// before the handler decodes it (an unbounded JSON body would be read into
+// memory whole; writeError surfaces *http.MaxBytesError as 413). A follower
+// refuses writes with 503 + Retry-After (not a redirect) so naive clients
+// fail fast and cluster-aware ones read X-Quickseld-Primary and re-aim.
+// Read and write routes are traced; operational ones are not.
+func (s *Server) serveRoute(rt Route, served *atomic.Uint64) http.HandlerFunc {
+	return func(w http.ResponseWriter, r *http.Request) {
+		if r.Body != nil {
+			r.Body = http.MaxBytesReader(w, r.Body, MaxRequestBytes)
 		}
-		s.writeJSON(w, http.StatusServiceUnavailable,
-			errorBody{Error: "this node is a read-only follower; send writes to the primary"})
-		return
+		if rt.Kind == RouteWrite && !s.reg.IsPrimary() {
+			s.reqRoleRejected.Add(1)
+			s.reqErrors.Add(1)
+			w.Header().Set("Retry-After", "1")
+			if pu := s.reg.PrimaryURL(); pu != "" {
+				w.Header().Set(replica.HeaderPrimary, pu)
+			}
+			s.writeJSON(w, http.StatusServiceUnavailable,
+				errorBody{Error: "this node is a read-only follower; send writes to the primary"})
+			return
+		}
+		served.Add(1)
+		if rt.Kind == RouteOperational {
+			rt.handle(s, w, r)
+			return
+		}
+		s.traced(w, r, rt.handle)
 	}
-	// Trace context. An inbound traceparent (quickselrouter's root span)
-	// carries the request ID, the router span to parent under, and the
-	// cluster-wide sampling decision, which this node obeys so a request is
-	// traced on every hop or none. Without one, reuse a propagated
-	// X-Request-Id (or mint fresh) and apply the local sampling rate.
-	// Sampled-out requests still carry the ID — logs correlate either way —
-	// but record no span and never reach the debug ring.
+}
+
+// traced serves a client request under a request trace: it gets a request
+// ID (echoed in X-Request-Id), its handler marks stages (decode, model,
+// encode) on the span, and the completed trace lands in the ring behind
+// GET /debug/requests plus the threshold-gated slow log.
+//
+// An inbound traceparent (quickselrouter's root span) carries the request
+// ID, the router span to parent under, and the cluster-wide sampling
+// decision, which this node obeys so a request is traced on every hop or
+// none. Without one, reuse a propagated X-Request-Id (or mint fresh) and
+// apply the local sampling rate. Sampled-out requests still carry the ID —
+// logs correlate either way — but record no span and never reach the ring.
+func (s *Server) traced(w http.ResponseWriter, r *http.Request, handle func(*Server, http.ResponseWriter, *http.Request)) {
 	var id, parentID string
 	var sampled, fromUpstream bool
 	if tid, pid, smp, ok := obs.ParseTraceParent(r.Header.Get(obs.HeaderTraceParent)); ok {
@@ -160,7 +190,7 @@ func (s *Server) ServeHTTP(w http.ResponseWriter, r *http.Request) {
 	}
 	w.Header().Set("X-Request-Id", id)
 	if !sampled {
-		s.mux.ServeHTTP(w, r)
+		handle(s, w, r)
 		return
 	}
 	sp := obs.StartSpanWithID("http", r.Method+" "+r.URL.Path, id)
@@ -173,7 +203,7 @@ func (s *Server) ServeHTTP(w http.ResponseWriter, r *http.Request) {
 		w.Header().Add("Trailer", obs.HeaderTrace)
 	}
 	sw := &statusWriter{ResponseWriter: w}
-	s.mux.ServeHTTP(sw, r.WithContext(obs.WithSpan(r.Context(), sp)))
+	handle(s, sw, r.WithContext(obs.WithSpan(r.Context(), sp)))
 	code := sw.code
 	if code == 0 {
 		code = http.StatusOK
@@ -244,7 +274,6 @@ func (s *Server) writeJSON(w http.ResponseWriter, status int, v any) {
 // duplicate create → 409, an over-limit body → 413, bad input (parse
 // errors, schema errors) → 400.
 func (s *Server) writeError(w http.ResponseWriter, err error) {
-	s.reqErrors.Add(1)
 	status := http.StatusBadRequest
 	var nf *NotFoundError
 	var cf *ConflictError
@@ -368,7 +397,6 @@ func (o *createOptions) toOptions() []quicksel.Option {
 }
 
 func (s *Server) handleCreate(w http.ResponseWriter, r *http.Request) {
-	s.reqCreate.Add(1)
 	var req createRequest
 	// Strict decoding: a typo like "metod" or "schmea" used to be silently
 	// ignored, leaving the client with a default estimator it did not ask
@@ -397,12 +425,10 @@ func (s *Server) handleCreate(w http.ResponseWriter, r *http.Request) {
 }
 
 func (s *Server) handleList(w http.ResponseWriter, _ *http.Request) {
-	s.reqList.Add(1)
 	s.writeJSON(w, http.StatusOK, map[string]any{"estimators": s.reg.List()})
 }
 
 func (s *Server) handleDrop(w http.ResponseWriter, r *http.Request) {
-	s.reqDrop.Add(1)
 	if err := s.reg.Drop(r.PathValue("name")); err != nil {
 		s.writeError(w, err)
 		return
@@ -430,7 +456,6 @@ type observeResponse struct {
 }
 
 func (s *Server) handleObserve(w http.ResponseWriter, r *http.Request) {
-	s.reqObserve.Add(1)
 	name := r.PathValue("name")
 	var req observeRequest
 	if err := json.NewDecoder(r.Body).Decode(&req); err != nil {
@@ -441,17 +466,18 @@ func (s *Server) handleObserve(w http.ResponseWriter, r *http.Request) {
 	if raw == nil {
 		raw = []observation{req.observation}
 	}
-	// Validate the whole batch before queueing anything, so a 400 means
-	// nothing was ingested and the client can safely retry the corrected
-	// batch without double-counting the records before the bad one.
+	// The whole batch is validated before anything is queued (here for
+	// presence, in the registry for values), so a 400 means nothing was
+	// ingested and the client can safely retry the corrected batch without
+	// double-counting the records before the bad one.
 	batch := make([]Observation, len(raw))
 	for i, o := range raw {
 		if o.Where == "" {
 			s.writeError(w, fmt.Errorf("observation %d: missing where clause", i))
 			return
 		}
-		if o.Selectivity == nil || math.IsNaN(*o.Selectivity) || *o.Selectivity < 0 || *o.Selectivity > 1 {
-			s.writeError(w, fmt.Errorf("observation %d: selectivity must be in [0, 1]", i))
+		if o.Selectivity == nil {
+			s.writeError(w, fmt.Errorf("observation %d: %w", i, errSelectivityRange))
 			return
 		}
 		batch[i] = Observation{Where: o.Where, Sel: *o.Selectivity}
@@ -474,7 +500,6 @@ func (s *Server) handleObserve(w http.ResponseWriter, r *http.Request) {
 }
 
 func (s *Server) handleEstimate(w http.ResponseWriter, r *http.Request) {
-	s.reqEstimate.Add(1)
 	name := r.PathValue("name")
 	where := r.URL.Query().Get("where")
 	if where == "" {
@@ -513,7 +538,6 @@ const MaxEstimateBatch = 4096
 // and JSON overhead, predicate parsing, and estimator lock acquisition
 // across the batch. Selectivities are returned in input order.
 func (s *Server) handleEstimateBatch(w http.ResponseWriter, r *http.Request) {
-	s.reqEstimateBatch.Add(1)
 	name := r.PathValue("name")
 	var req estimateBatchRequest
 	if err := json.NewDecoder(r.Body).Decode(&req); err != nil {
@@ -550,7 +574,6 @@ func (s *Server) handleEstimateBatch(w http.ResponseWriter, r *http.Request) {
 }
 
 func (s *Server) handleTrain(w http.ResponseWriter, r *http.Request) {
-	s.reqTrain.Add(1)
 	name := r.PathValue("name")
 	if err := s.reg.Train(name); err != nil {
 		s.writeError(w, err)
@@ -563,7 +586,6 @@ func (s *Server) handleTrain(w http.ResponseWriter, r *http.Request) {
 // one plus the bounded archive of previous champions and rejected
 // challengers, metadata only.
 func (s *Server) handleVersions(w http.ResponseWriter, r *http.Request) {
-	s.reqVersions.Add(1)
 	info, err := s.reg.Versions(r.PathValue("name"))
 	if err != nil {
 		s.writeError(w, err)
@@ -580,7 +602,6 @@ type rollbackRequest struct {
 }
 
 func (s *Server) handleRollback(w http.ResponseWriter, r *http.Request) {
-	s.reqRollback.Add(1)
 	var req rollbackRequest
 	if r.ContentLength != 0 {
 		// Strict, like create: a typo such as "verison" must not silently
@@ -606,7 +627,6 @@ func (s *Server) handleRollback(w http.ResponseWriter, r *http.Request) {
 // handleAccuracy reports the estimator's realized accuracy window, drift
 // state, promotion policy, and serving version.
 func (s *Server) handleAccuracy(w http.ResponseWriter, r *http.Request) {
-	s.reqAccuracy.Add(1)
 	info, err := s.reg.Accuracy(r.PathValue("name"))
 	if err != nil {
 		s.writeError(w, err)
@@ -616,7 +636,6 @@ func (s *Server) handleAccuracy(w http.ResponseWriter, r *http.Request) {
 }
 
 func (s *Server) handleSnapshot(w http.ResponseWriter, _ *http.Request) {
-	s.reqSnapshot.Add(1)
 	if err := s.reg.SaveSnapshot(); err != nil {
 		s.writeError(w, err)
 		return

@@ -2,6 +2,7 @@ package server
 
 import (
 	"encoding/json"
+	"fmt"
 	"net/http"
 	"strings"
 	"testing"
@@ -219,5 +220,32 @@ func TestPprofOptIn(t *testing.T) {
 	mustStatus(t, http.StatusOK, status, body)
 	if !strings.Contains(string(body), "goroutine") {
 		t.Fatalf("goroutine profile body unrecognizable: %.120s", body)
+	}
+}
+
+// TestMetricsRequestsByRoute: request counts are one labeled family with a
+// series per route-table entry, counting exactly the requests served.
+func TestMetricsRequestsByRoute(t *testing.T) {
+	_, ts := newTestServer(t, Config{})
+	createPeople(t, ts.URL)
+	estimate(t, ts.URL, "people", "age >= 40")
+	status, body := doJSON(t, "POST", ts.URL+"/v1/people/estimate/batch", `{"wheres": ["age >= 40", "age < 30"]}`)
+	mustStatus(t, http.StatusOK, status, body)
+	status, body = doJSON(t, "POST", ts.URL+"/v1/people/estimate/batch", `{"wheres": ["salary < 1000"]}`)
+	mustStatus(t, http.StatusOK, status, body)
+
+	text := scrapeMetrics(t, ts.URL)
+	if err := obs.ValidateExposition(strings.NewReader(text)); err != nil {
+		t.Fatalf("exposition invalid: %v\n%s", err, text)
+	}
+	want := map[string]int{"create": 1, "estimate": 1, "estimate_batch": 2, "metrics": 1}
+	for _, rt := range Routes() {
+		line := fmt.Sprintf("quickseld_requests_total{route=%q} %d\n", rt.Label, want[rt.Label])
+		if !strings.Contains(text, line) {
+			t.Errorf("/metrics lacks %q", line)
+		}
+	}
+	if strings.Contains(text, "quickseld_requests_estimate_total") {
+		t.Error("/metrics still exposes a per-route counter family")
 	}
 }

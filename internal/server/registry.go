@@ -23,6 +23,7 @@ package server
 
 import (
 	"encoding/json"
+	"errors"
 	"fmt"
 	"log/slog"
 	"math"
@@ -683,6 +684,24 @@ type ParsedObservation struct {
 	Sel  float64
 }
 
+// errSelectivityRange is the rejection of a selectivity outside [0, 1].
+var errSelectivityRange = errors.New("selectivity must be in [0, 1]")
+
+// validateObservation is the one validation point for feedback records:
+// the Go API and HTTP reject through ObserveParsed, WAL replay and
+// replication skip through applyRecord. A NaN or out-of-range selectivity
+// that reached the pending buffer would fail every training run on the
+// clone, and its whole batch would be requeued forever.
+func validateObservation(o ParsedObservation) error {
+	if o.Pred == nil {
+		return errors.New("missing predicate")
+	}
+	if !(o.Sel >= 0 && o.Sel <= 1) { // NaN fails both comparisons
+		return errSelectivityRange
+	}
+	return nil
+}
+
 // ObserveParsed ingests pre-parsed observations: it records each record's
 // prequential sample — the serving model's estimate for the predicate
 // before the feedback is absorbed — into the accuracy tracker, steps the
@@ -698,10 +717,18 @@ type ParsedObservation struct {
 // fails, the accepted records stay buffered but an error is returned, so a
 // retrying client gets at-least-once rather than silent loss.
 //
+// The batch is validated whole first (see validateObservation): an invalid
+// record fails the call with nothing buffered or logged.
+//
 // The returned estimates slice holds the serving model's answer for every
 // record (NaN where estimation failed), in input order — the realized
 // accuracy a benchmark or caller can score without a second round trip.
 func (r *Registry) ObserveParsed(name string, recs []ParsedObservation) (estimates []float64, backlog, accepted int, err error) {
+	for i, rec := range recs {
+		if err := validateObservation(rec); err != nil {
+			return nil, 0, 0, fmt.Errorf("observation %d: %w", i, err)
+		}
+	}
 	st, err := r.state(name)
 	if err != nil {
 		return nil, 0, 0, err

@@ -438,7 +438,6 @@ func (r *Registry) replicationStatus() *ReplicationStatus {
 // follower's ack (see UpdateFollowerAck). 410 Gone directs a follower
 // whose suffix is compacted away to the snapshot endpoint.
 func (s *Server) handleReplicationWAL(w http.ResponseWriter, r *http.Request) {
-	s.reqReplWAL.Add(1)
 	if !s.reg.IsPrimary() {
 		s.reqErrors.Add(1)
 		s.writeJSON(w, http.StatusServiceUnavailable, errorBody{Error: "replication source must be the primary"})
@@ -531,7 +530,6 @@ func (s *Server) handleReplicationWAL(w http.ResponseWriter, r *http.Request) {
 // X-Quickseld-Wal-Covered. 204 when the primary runs without a snapshot
 // path (the follower then starts empty and tails from sequence 1).
 func (s *Server) handleReplicationSnapshot(w http.ResponseWriter, _ *http.Request) {
-	s.reqReplSnapshot.Add(1)
 	if !s.reg.IsPrimary() {
 		s.reqErrors.Add(1)
 		s.writeJSON(w, http.StatusServiceUnavailable, errorBody{Error: "replication source must be the primary"})
@@ -568,7 +566,6 @@ func (s *Server) SetPromoteHook(fn func() (bool, error)) {
 // handlePromote serves POST /v1/replication/promote: health-check- or
 // operator-driven failover.
 func (s *Server) handlePromote(w http.ResponseWriter, _ *http.Request) {
-	s.reqReplPromote.Add(1)
 	promote := s.reg.Promote
 	if p := s.promoteHook.Load(); p != nil {
 		promote = *p
@@ -593,7 +590,6 @@ func (s *Server) handlePromote(w http.ResponseWriter, _ *http.Request) {
 // handleReplicationStatus serves GET /v1/replication/status: the node's
 // role plus the primary's follower table or the follower's catch-up state.
 func (s *Server) handleReplicationStatus(w http.ResponseWriter, _ *http.Request) {
-	s.reqReplStatus.Add(1)
 	resp := map[string]any{
 		"role":     s.reg.Role(),
 		"ack_mode": s.reg.cfg.ReplicationAck,

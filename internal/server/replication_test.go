@@ -552,3 +552,71 @@ func TestRequestBodyLimit(t *testing.T) {
 		t.Fatalf("oversized observe status = %d (%s), want 413", resp.StatusCode, body)
 	}
 }
+
+// TestFollowerGatesWriteRoutesOnly drives every client route of the route
+// table against a follower holding a replicated estimator: read routes —
+// batch estimates included — answer 200, write routes answer 503 with the
+// primary hint. A route added to the table without a case here fails.
+func TestFollowerGatesWriteRoutesOnly(t *testing.T) {
+	primary := newPrimary(t, nil)
+	if err := primary.Create("people", walSchema(t)); err != nil {
+		t.Fatal(err)
+	}
+	dir := t.TempDir()
+	srv, ts := newTestServer(t, Config{
+		SnapshotPath: filepath.Join(dir, "state.json"),
+		WALDir:       filepath.Join(dir, "wal"),
+		Role:         RoleFollower,
+		PrimaryURL:   "http://primary.example:7075",
+	})
+	t.Cleanup(func() { srv.Registry().closeAbrupt() })
+	if err := srv.Registry().Replicate(shipAll(t, primary, 1)); err != nil {
+		t.Fatal(err)
+	}
+
+	cases := map[string]struct {
+		method, path, body string
+		want               int
+	}{
+		"GET /v1/estimators":             {"GET", "/v1/estimators", "", http.StatusOK},
+		"GET /v1/{name}/estimate":        {"GET", "/v1/people/estimate?where=age+%3E%3D+30", "", http.StatusOK},
+		"POST /v1/{name}/estimate/batch": {"POST", "/v1/people/estimate/batch", `{"wheres": ["age >= 30", "salary < 60000"]}`, http.StatusOK},
+		"GET /v1/{name}/versions":        {"GET", "/v1/people/versions", "", http.StatusOK},
+		"GET /v1/{name}/accuracy":        {"GET", "/v1/people/accuracy", "", http.StatusOK},
+		"POST /v1/estimators":            {"POST", "/v1/estimators", `{"name": "x", "schema": ` + peopleSchema + `}`, http.StatusServiceUnavailable},
+		"DELETE /v1/estimators/{name}":   {"DELETE", "/v1/estimators/people", "", http.StatusServiceUnavailable},
+		"POST /v1/{name}/observe":        {"POST", "/v1/people/observe", `{"where": "age >= 30", "selectivity": 0.5}`, http.StatusServiceUnavailable},
+		"POST /v1/{name}/train":          {"POST", "/v1/people/train", "{}", http.StatusServiceUnavailable},
+		"POST /v1/{name}/rollback":       {"POST", "/v1/people/rollback", "", http.StatusServiceUnavailable},
+		"POST /v1/snapshot":              {"POST", "/v1/snapshot", "", http.StatusServiceUnavailable},
+	}
+	for _, rt := range Routes() {
+		if rt.Kind == RouteOperational {
+			continue
+		}
+		c, ok := cases[rt.Pattern]
+		if !ok {
+			t.Errorf("route %s has no follower case", rt.Pattern)
+			continue
+		}
+		req, err := http.NewRequest(c.method, ts.URL+c.path, strings.NewReader(c.body))
+		if err != nil {
+			t.Fatal(err)
+		}
+		resp, err := http.DefaultClient.Do(req)
+		if err != nil {
+			t.Fatal(err)
+		}
+		body, _ := io.ReadAll(resp.Body)
+		resp.Body.Close()
+		if resp.StatusCode != c.want {
+			t.Errorf("follower %s: status %d, want %d; body: %s", rt.Pattern, resp.StatusCode, c.want, body)
+		}
+		if (rt.Kind == RouteWrite) != (c.want == http.StatusServiceUnavailable) {
+			t.Errorf("route %s: kind %d disagrees with the expected follower answer %d", rt.Pattern, rt.Kind, c.want)
+		}
+		if c.want == http.StatusServiceUnavailable && resp.Header.Get(replica.HeaderPrimary) == "" {
+			t.Errorf("follower %s: 503 without %s", rt.Pattern, replica.HeaderPrimary)
+		}
+	}
+}

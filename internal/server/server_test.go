@@ -309,8 +309,8 @@ func TestMetrics(t *testing.T) {
 	status, body := doJSON(t, "GET", ts.URL+"/metrics", "")
 	mustStatus(t, http.StatusOK, status, body)
 	for _, want := range []string{
-		"quickseld_requests_observe_total 1",
-		"quickseld_requests_estimate_total 1",
+		`quickseld_requests_total{route="observe"} 1`,
+		`quickseld_requests_total{route="estimate"} 1`,
 		"quickseld_estimators 1",
 		`quickseld_estimators_by_method{method="quicksel"} 1`,
 		`quickseld_observations_total{estimator="people",method="quicksel"} 1`,

@@ -33,23 +33,15 @@ func (s *Server) collect() obs.Telemetry {
 		})
 	}
 
-	counter("quickseld_requests_create_total", "POST /v1/estimators requests served.", s.reqCreate.Load())
-	counter("quickseld_requests_observe_total", "Observe requests served.", s.reqObserve.Load())
-	counter("quickseld_requests_estimate_total", "Estimate requests served.", s.reqEstimate.Load())
-	counter("quickseld_requests_estimate_batch_total", "Batch estimate requests served.", s.reqEstimateBatch.Load())
-	counter("quickseld_requests_train_total", "Explicit train requests served.", s.reqTrain.Load())
-	counter("quickseld_requests_list_total", "List requests served.", s.reqList.Load())
-	counter("quickseld_requests_drop_total", "Drop requests served.", s.reqDrop.Load())
-	counter("quickseld_requests_snapshot_total", "Explicit snapshot requests served.", s.reqSnapshot.Load())
-	counter("quickseld_requests_versions_total", "Version-listing requests served.", s.reqVersions.Load())
-	counter("quickseld_requests_rollback_total", "Rollback requests served.", s.reqRollback.Load())
-	counter("quickseld_requests_accuracy_total", "Accuracy requests served.", s.reqAccuracy.Load())
-	counter("quickseld_requests_metrics_total", "Metrics scrapes served.", s.reqMetrics.Load())
-	counter("quickseld_requests_telemetry_total", "Telemetry snapshot fetches served.", s.reqTelemetry.Load())
-	counter("quickseld_requests_replication_wal_total", "WAL fetches served to followers.", s.reqReplWAL.Load())
-	counter("quickseld_requests_replication_snapshot_total", "Snapshot bootstraps served to followers.", s.reqReplSnapshot.Load())
-	counter("quickseld_requests_replication_promote_total", "Promotion requests served.", s.reqReplPromote.Load())
-	counter("quickseld_requests_replication_status_total", "Replication status requests served.", s.reqReplStatus.Load())
+	reqs := obs.Family{
+		Name: "quickseld_requests_total", Help: "Requests served, by route (the route table in internal/server/http.go).", Type: "counter",
+	}
+	for i := range s.reqs {
+		reqs.Series = append(reqs.Series, obs.NumSeries{
+			Labels: map[string]string{"route": s.reqs[i].label}, Value: float64(s.reqs[i].n.Load()),
+		})
+	}
+	t.Families = append(t.Families, reqs)
 	counter("quickseld_requests_role_rejected_total", "Write requests refused because this node is a read-only follower.", s.reqRoleRejected.Load())
 	counter("quickseld_request_errors_total", "Requests answered with a non-2xx status.", s.reqErrors.Load())
 	counter("quickseld_snapshots_saved_total", "Registry snapshots persisted.", s.reg.snapshotsSaved.Load())
@@ -67,7 +59,7 @@ func (s *Server) collect() obs.Telemetry {
 		counter("quickseld_wal_compacted_segments_total", "Log segments deleted by snapshot-driven compaction.", ws.CompactedSegments)
 		counter("quickseld_wal_append_errors_total", "Appends that failed the durability wait.", s.reg.walAppendErrs.Load())
 		counter("quickseld_wal_replayed_records_total", "Records replayed into the registry at startup.", s.reg.walReplayed.Load())
-		counter("quickseld_wal_replay_skipped_total", "Undecodable records skipped during replay.", s.reg.walReplaySkipped.Load())
+		counter("quickseld_wal_replay_skipped_total", "Undecodable or invalid records skipped during replay and replication.", s.reg.walReplaySkipped.Load())
 		counter("quickseld_wal_truncated_bytes_total", "Torn-tail bytes truncated at open.", ws.TruncatedBytes)
 		gauge("quickseld_wal_segments", "Retained log segment files.", float64(ws.Segments))
 		gauge("quickseld_wal_size_bytes", "Retained log bytes on disk.", float64(ws.SizeBytes))
@@ -282,7 +274,6 @@ func (s *Server) collect() obs.Telemetry {
 // router's federation poll: the same families as /metrics, histograms as raw
 // mergeable bucket counts instead of rendered text.
 func (s *Server) handleTelemetry(w http.ResponseWriter, _ *http.Request) {
-	s.reqTelemetry.Add(1)
 	t := s.collect()
 	s.writeJSON(w, http.StatusOK, t)
 }

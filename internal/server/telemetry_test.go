@@ -53,7 +53,7 @@ func TestTelemetryEndpoint(t *testing.T) {
 		fams[f.Name] = f
 	}
 	for _, name := range []string{
-		"quickseld_requests_observe_total",
+		"quickseld_requests_total",
 		"quickseld_estimators",
 		"quickseld_observe_duration_seconds",
 		"quickseld_estimate_duration_seconds",

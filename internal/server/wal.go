@@ -164,8 +164,9 @@ func (r *Registry) appendWALEvent(typ byte, v any) {
 // Reports whether the record changed registry state.
 //
 // A record that fails to decode (CRC-valid but semantically unreadable —
-// version skew, a bug) is logged and counted, not fatal: serving with one
-// lost record beats refusing to serve at all.
+// version skew, a bug) or carries an invalid observation is logged and
+// counted, not fatal: serving with one lost record beats refusing to serve
+// at all, and an invalid one would wedge training.
 func (r *Registry) applyRecord(rec wal.Record) (applied bool) {
 	skip := func(what string, err error) {
 		r.walLog.Warn("apply: skipping record",
@@ -175,6 +176,9 @@ func (r *Registry) applyRecord(rec wal.Record) (applied bool) {
 	switch rec.Type {
 	case walRecObserve:
 		name, pred, sel, err := decodeObservePayload(rec.Payload)
+		if err == nil {
+			err = validateObservation(ParsedObservation{Pred: pred, Sel: sel})
+		}
 		if err != nil {
 			skip("observe", err)
 			return false
