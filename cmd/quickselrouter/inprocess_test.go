@@ -163,6 +163,24 @@ func TestRouterFollowerBatchesOnRealFollower(t *testing.T) {
 	}
 }
 
+// TestRouterPinsLifecycleReadsToPrimary: with -read-from-followers and a
+// caught-up follower in rotation, versions and accuracy still go to the
+// primary, which alone trains.
+func TestRouterPinsLifecycleReadsToPrimary(t *testing.T) {
+	rt, base := realShardRouter(t)
+	reads := rt.followerReads.Load()
+	for i := 0; i < 6; i++ {
+		for _, path := range []string{"/v1/people/versions", "/v1/people/accuracy"} {
+			if status, body, _ := doReq(t, "GET", base+path, "", nil); status != http.StatusOK {
+				t.Fatalf("%s %d: status %d: %s", path, i, status, body)
+			}
+		}
+	}
+	if got := rt.followerReads.Load(); got != reads {
+		t.Errorf("quickselrouter_follower_reads_total moved %d -> %d: a lifecycle read reached the follower", reads, got)
+	}
+}
+
 // TestRouterFederatesRequestsByRoute: the daemons' labeled request family
 // federates into quickselcluster_requests_total with the route label kept
 // and shard and role added, and the router's /metrics stays valid.

@@ -135,11 +135,16 @@ func newRouter(tracker *cluster.Tracker, cfg routerConfig) *Router {
 		"snapshot": rt.handleSnapshotFanout,
 		"metrics":  rt.handleMetrics,
 	}
+	// Lifecycle reads a follower may answer but the router keeps on the
+	// primary: followers never train, so their versions and accuracy lag
+	// the primary's, and a client polling for its batch to be trained
+	// would see answers flip between nodes.
+	primaryReads := map[string]bool{"versions": true, "accuracy": true}
 	for _, route := range server.Routes() {
 		if h, ok := clusterWide[route.Label]; ok {
 			m.HandleFunc(route.Pattern, h)
 		} else if strings.Contains(route.Pattern, "{name}") {
-			m.HandleFunc(route.Pattern, rt.byName(route.Kind == server.RouteRead))
+			m.HandleFunc(route.Pattern, rt.byName(route.Kind == server.RouteRead && !primaryReads[route.Label]))
 		} else if route.Kind != server.RouteOperational {
 			panic("quickselrouter: no routing for quickseld route " + route.Pattern)
 		}
@@ -321,6 +326,8 @@ func (rt *Router) proxyShard(w http.ResponseWriter, r *http.Request, shard strin
 	reqID := requestID(r)
 	res, followerRead, err := rt.exchange(r, shard, read, reqID, body, obs.SpanFrom(r.Context()))
 	switch {
+	case errors.Is(err, errClientGone):
+		return // nobody to answer, and not a shard or router failure
 	case errors.Is(err, errNoPrimary):
 		sm.errors.Add(1)
 		rt.reqErrors.Add(1)
@@ -340,14 +347,18 @@ func (rt *Router) proxyShard(w http.ResponseWriter, r *http.Request, shard strin
 	}
 }
 
-var errNoPrimary = errors.New("no known primary")
+var (
+	errNoPrimary  = errors.New("no known primary")
+	errClientGone = errors.New("client went away during the Retry-After wait")
+)
 
 // exchange sends one request to a shard: first to pickTarget's choice,
 // then — on a 503 (a demoted or still-booting node, whose
 // X-Quickseld-Primary hint re-aims the tracker) or a transport error (the
 // target just died; the tracker may already know the successor) — exactly
 // once more, to the hinted address or the shard's current primary. The
-// retry honors Retry-After up to maxRetryAfter. It returns the last answer
+// retry honors Retry-After up to maxRetryAfter (errClientGone if the
+// client cancels during the wait). It returns the last answer
 // (nil when no attempt got one) and whether a follower gave it; stages,
 // when non-nil, receives the queue/proxy/retry stage marks.
 func (rt *Router) exchange(r *http.Request, shard string, read bool, reqID string, body []byte, stages *obs.Span) (*proxyResult, bool, error) {
@@ -374,7 +385,7 @@ func (rt *Router) exchange(r *http.Request, shard string, read bool, reqID strin
 				select {
 				case <-time.After(min(time.Duration(secs)*time.Second, maxRetryAfter)):
 				case <-r.Context().Done():
-					return nil, false, r.Context().Err()
+					return nil, false, errClientGone
 				}
 			}
 		}

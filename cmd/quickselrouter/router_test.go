@@ -1,6 +1,7 @@
 package main
 
 import (
+	"context"
 	"encoding/json"
 	"fmt"
 	"io"
@@ -868,5 +869,33 @@ func TestRouterTraceSamplingOff(t *testing.T) {
 	}
 	if len(dbg.Traces) != 0 {
 		t.Fatalf("sampled-out request recorded %d traces", len(dbg.Traces))
+	}
+}
+
+// TestRouterClientGoneDuringRetryWait: a client that cancels while the
+// router honors a shard's Retry-After gets no answer written, and neither
+// the router's nor the shard's error counter moves.
+func TestRouterClientGoneDuringRetryWait(t *testing.T) {
+	primary := newFakeShard(t, "primary")
+	primary.setReject(primary.srv.URL) // 503 + Retry-After, hint at itself
+	rt, _ := testRouter(t, map[string][]*fakeShard{"s0": {primary}}, false, false)
+
+	ctx, cancel := context.WithTimeout(context.Background(), 30*time.Millisecond)
+	defer cancel()
+	req := httptest.NewRequest("GET", "/v1/people/estimate?where=age+%3E%3D+30", nil).WithContext(ctx)
+	rec := httptest.NewRecorder()
+	rt.ServeHTTP(rec, req)
+
+	if rec.Body.Len() != 0 {
+		t.Errorf("router answered a gone client: %d %s", rec.Code, rec.Body)
+	}
+	if got := rt.reqErrors.Load(); got != 0 {
+		t.Errorf("quickselrouter_request_errors_total = %d, want 0", got)
+	}
+	if got := rt.shards["s0"].errors.Load(); got != 0 {
+		t.Errorf("quickselrouter_shard_errors_total{shard=\"s0\"} = %d, want 0", got)
+	}
+	if got := rt.retried.Load(); got != 0 {
+		t.Errorf("quickselrouter_retried_total = %d, want 0", got)
 	}
 }

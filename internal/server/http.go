@@ -274,6 +274,7 @@ func (s *Server) writeJSON(w http.ResponseWriter, status int, v any) {
 // duplicate create → 409, an over-limit body → 413, bad input (parse
 // errors, schema errors) → 400.
 func (s *Server) writeError(w http.ResponseWriter, err error) {
+	s.reqErrors.Add(1)
 	status := http.StatusBadRequest
 	var nf *NotFoundError
 	var cf *ConflictError
