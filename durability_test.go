@@ -2,6 +2,7 @@ package quicksel_test
 
 import (
 	"bytes"
+	"encoding/hex"
 	"encoding/json"
 	"fmt"
 	"math/rand"
@@ -10,6 +11,7 @@ import (
 	"testing"
 
 	"quicksel"
+	"quicksel/internal/wal"
 )
 
 func jsonDecode(data []byte, v any) error { return json.Unmarshal(data, v) }
@@ -252,5 +254,50 @@ func TestEstimatorWALSurvivesTornTail(t *testing.T) {
 	defer restarted.Close()
 	if restarted.NumObserved() == 0 {
 		t.Fatal("nothing replayed after torn-tail truncation")
+	}
+}
+
+// walPayloads reads back every record payload of one type in a log
+// directory.
+func walPayloads(t *testing.T, dir string, typ byte) [][]byte {
+	t.Helper()
+	l, err := wal.Open(dir, wal.Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer l.Close()
+	var out [][]byte
+	if err := l.Replay(1, func(rec wal.Record) error {
+		if rec.Type == typ {
+			out = append(out, append([]byte(nil), rec.Payload...))
+		}
+		return nil
+	}); err != nil {
+		t.Fatal(err)
+	}
+	return out
+}
+
+// TestEstimatorWALObservationGoldenBytes pins the on-disk payload of one
+// observation record of the library log: 8-byte LE selectivity bits, then
+// the predicate's binary encoding. A change here breaks every existing
+// log directory.
+func TestEstimatorWALObservationGoldenBytes(t *testing.T) {
+	dir := t.TempDir()
+	e, err := quicksel.New(walTestSchema(t), quicksel.WithWAL(dir))
+	if err != nil {
+		t.Fatal(err)
+	}
+	p := quicksel.And(quicksel.Range(0, 0.25, 0.75), quicksel.AtMost(1, 0.5))
+	if err := e.Observe(p, 0.125); err != nil {
+		t.Fatal(err)
+	}
+	if err := e.Close(); err != nil {
+		t.Fatal(err)
+	}
+	got := walPayloads(t, dir, 1)
+	const want = "000000000000c03f02020100000000000000d03f000000000000e83f0101000000000000f0ff000000000000e03f"
+	if len(got) != 1 || hex.EncodeToString(got[0]) != want {
+		t.Fatalf("observation payloads = %x, want one record %s", got, want)
 	}
 }

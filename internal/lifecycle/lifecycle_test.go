@@ -154,43 +154,56 @@ func TestTrackerStateRoundTrip(t *testing.T) {
 
 func payload(s string) json.RawMessage { return json.RawMessage(`"` + s + `"`) }
 
+// promote mints a trained version, archives the outgoing champion with its
+// payload, and returns the new champion — the registry's promotion step.
+func promote(s *Store, outgoing Version, outgoingPayload string) Version {
+	v := s.Mint(OriginTrained, 10, Metrics{}, nil)
+	outgoing.Payload = payload(outgoingPayload)
+	s.Archive(outgoing)
+	return v
+}
+
 // TestStorePromoteRollback walks the version store through the champion /
 // challenger / rollback protocol.
 func TestStorePromoteRollback(t *testing.T) {
 	s := NewStore(3)
-	s.Init(OriginInitial, payload("v1"))
-	if cur := s.Current(); cur.ID != 1 || cur.Origin != OriginInitial {
-		t.Fatalf("current = %+v, want initial id 1", cur)
+	cur := s.Mint(OriginInitial, 0, Metrics{}, nil)
+	if cur.ID != 1 || cur.Origin != OriginInitial || cur.Payload != nil {
+		t.Fatalf("initial = %+v, want id 1 origin initial, no payload", cur)
 	}
 
-	// Promote v2: v1 archived.
-	s.Add(OriginTrained, payload("v2"), 10, Metrics{}, nil, true)
-	if cur := s.Current(); cur.ID != 2 {
+	// Promote v2: v1 archived with its payload.
+	cur = promote(s, cur, "v1")
+	if cur.ID != 2 {
 		t.Fatalf("current id = %d, want 2", cur.ID)
 	}
 	if h := s.History(); len(h) != 1 || h[0].ID != 1 {
 		t.Fatalf("history = %+v, want [v1]", h)
 	}
 
-	// Reject v3: archived, current unchanged.
-	s.Add(OriginRejected, payload("v3"), 20, Metrics{}, &ShadowResult{Promote: false}, false)
-	if cur := s.Current(); cur.ID != 2 {
-		t.Fatalf("rejection changed current to %d", cur.ID)
-	}
+	// Reject v3: archived directly, current unchanged.
+	rej := s.Mint(OriginRejected, 20, Metrics{}, &ShadowResult{Promote: false})
+	rej.Payload = payload("v3")
+	s.Archive(rej)
 	if h := s.History(); len(h) != 2 || h[0].ID != 3 || h[1].ID != 1 {
 		t.Fatalf("history = %+v, want [v3 v1]", h)
 	}
 
 	// Listings carry no payloads.
-	for _, v := range append(s.History(), s.Current()) {
+	for _, v := range s.History() {
 		if v.Payload != nil {
 			t.Fatalf("listing leaked payload for version %d", v.ID)
 		}
 	}
 
 	// Default rollback: most recently archived (v3 — manual promotion of a
-	// rejected challenger).
-	v, err := s.Rollback(0)
+	// rejected challenger); the outgoing v2 is archived with its payload.
+	if p, err := s.Peek(0); err != nil || p.ID != 3 {
+		t.Fatalf("peek(0) = %+v, %v, want v3", p, err)
+	}
+	out := cur
+	out.Payload = payload("v2")
+	v, err := s.Rollback(0, out)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -200,34 +213,41 @@ func TestStorePromoteRollback(t *testing.T) {
 	if h := s.History(); len(h) != 2 || h[0].ID != 2 || h[1].ID != 1 {
 		t.Fatalf("history after rollback = %+v, want [v2 v1]", h)
 	}
+	cur = v.Meta()
 
 	// Explicit rollback to v1.
-	v, err = s.Rollback(1)
+	out = cur
+	out.Payload = payload("v3")
+	v, err = s.Rollback(1, out)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if v.ID != 1 || string(v.Payload) != `"v1"` {
 		t.Fatalf("rollback chose %+v, want v1", v)
 	}
-
-	// Unknown version.
-	if _, err := s.Rollback(99); err == nil {
-		t.Fatal("rollback to unknown version succeeded")
+	if h := s.History(); len(h) != 2 || h[0].ID != 3 || h[1].ID != 2 {
+		t.Fatalf("history after rollback = %+v, want [v3 v2]", h)
 	}
 
-	// Rolling back to the current version is a no-op.
-	cur := s.Current()
-	if v, err := s.Rollback(cur.ID); err != nil || v.ID != cur.ID {
-		t.Fatalf("rollback to current = %+v, %v", v, err)
+	// Unknown versions cannot be peeked or rolled back to, and a failed
+	// rollback archives nothing.
+	if _, err := s.Peek(99); err == nil {
+		t.Fatal("peek of unknown version succeeded")
+	}
+	if _, err := s.Rollback(99, out); err == nil {
+		t.Fatal("rollback to unknown version succeeded")
+	}
+	if h := s.History(); len(h) != 2 {
+		t.Fatalf("failed rollback changed history to %+v", h)
 	}
 }
 
 // TestStoreBound checks eviction: the oldest archived versions fall off.
 func TestStoreBound(t *testing.T) {
 	s := NewStore(2)
-	s.Init(OriginInitial, payload("v1"))
+	cur := s.Mint(OriginInitial, 0, Metrics{}, nil)
 	for i := 0; i < 5; i++ {
-		s.Add(OriginTrained, payload("x"), uint64(i), Metrics{}, nil, true)
+		cur = promote(s, cur, "x")
 	}
 	h := s.History()
 	if len(h) != 2 {
@@ -236,19 +256,23 @@ func TestStoreBound(t *testing.T) {
 	if h[0].ID != 5 || h[1].ID != 4 {
 		t.Fatalf("history = [%d %d], want [5 4]", h[0].ID, h[1].ID)
 	}
-	if _, err := s.Rollback(1); err == nil {
+	if _, err := s.Rollback(1, cur); err == nil {
 		t.Fatal("rollback to evicted version succeeded")
 	}
 }
 
-// TestStoreStateRoundTrip checks persistence, including the elided current
-// payload being reattached.
+// TestStoreStateRoundTrip checks persistence: the archive keeps its
+// payloads, the serving version is recorded as metadata only, and version
+// numbering continues past every restored ID.
 func TestStoreStateRoundTrip(t *testing.T) {
 	s := NewStore(3)
-	s.Init(OriginInitial, payload("v1"))
-	s.Add(OriginTrained, payload("v2"), 7, Metrics{MAE: 0.1, Samples: 7}, nil, true)
+	s.Mint(OriginInitial, 0, Metrics{}, nil)
+	cur := s.Mint(OriginTrained, 7, Metrics{MAE: 0.1, Samples: 7}, nil)
+	v1 := Version{ID: 1, Origin: OriginInitial, Payload: payload("v1")}
+	s.Archive(v1)
 
-	data, err := json.Marshal(s.State(true))
+	cur.Payload = payload("stray") // a payload on the serving version is never persisted
+	data, err := json.Marshal(s.State(cur))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -256,18 +280,23 @@ func TestStoreStateRoundTrip(t *testing.T) {
 	if err := json.Unmarshal(data, &st); err != nil {
 		t.Fatal(err)
 	}
-	r := RestoreStore(3, &st, payload("v2"))
-	if cur := r.Current(); cur.ID != 2 || cur.Observations != 7 {
-		t.Fatalf("restored current = %+v", cur)
+	if st.Current.Payload != nil {
+		t.Fatalf("persisted serving version carries a payload: %s", st.Current.Payload)
+	}
+	r, rcur := RestoreStore(3, &st)
+	if rcur.ID != 2 || rcur.Observations != 7 || rcur.Payload != nil {
+		t.Fatalf("restored current = %+v", rcur)
 	}
 	// Rollback still works and next IDs continue from the restored maximum.
-	v, err := r.Rollback(0)
-	if err != nil || v.ID != 1 {
+	v, err := r.Rollback(0, rcur)
+	if err != nil || v.ID != 1 || string(v.Payload) != `"v1"` {
 		t.Fatalf("rollback after restore = %+v, %v", v, err)
 	}
-	nv := r.Add(OriginTrained, payload("v3"), 9, Metrics{}, nil, true)
-	if nv.ID != 3 {
+	if nv := r.Mint(OriginTrained, 9, Metrics{}, nil); nv.ID != 3 {
 		t.Fatalf("next id after restore = %d, want 3", nv.ID)
+	}
+	if r, cur := RestoreStore(3, nil); cur.ID != 0 || r.Mint(OriginInitial, 0, Metrics{}, nil).ID != 1 {
+		t.Fatalf("restore of nil state = %+v", cur)
 	}
 }
 

@@ -23,8 +23,9 @@ const (
 
 // Version is one immutable numbered model. The Payload is the opaque
 // serialized model snapshot (a quicksel.Snapshot envelope in the serving
-// registry); metadata describes how the version came to be. Listings strip
-// the payload with Meta.
+// registry), present only while the version is archived; metadata
+// describes how the version came to be. Listings strip the payload with
+// Meta.
 type Version struct {
 	// ID is the immutable version number, unique per estimator and
 	// monotonically increasing.
@@ -41,7 +42,8 @@ type Version struct {
 	// Gate is the shadow-scoring outcome that admitted (or archived) the
 	// version; nil for PolicyAlways promotions and the initial version.
 	Gate *ShadowResult `json:"gate,omitempty"`
-	// Payload is the serialized model; omitted from listings.
+	// Payload is the serialized model of an archived version; omitted
+	// from listings and from the serving version.
 	Payload json.RawMessage `json:"payload,omitempty"`
 }
 
@@ -51,12 +53,14 @@ func (v Version) Meta() Version {
 	return v
 }
 
-// Store is the bounded version history of one estimator: the current
-// serving version plus up to bound archived versions (previous champions and
-// rejected challengers), newest first. Not safe for concurrent use.
+// Store is the bounded archive of one estimator's versions: previous
+// champions and rejected challengers, newest first, each holding its
+// serialized model. The serving version is not in the store — its owner
+// holds the model itself beside the version metadata — so a payload exists
+// only for a model that has left the serving slot. The store also numbers
+// new versions. Not safe for concurrent use.
 type Store struct {
 	next    int
-	current Version
 	history []Version
 	bound   int
 }
@@ -69,22 +73,9 @@ func NewStore(bound int) *Store {
 	return &Store{next: 1, bound: bound}
 }
 
-// Bound returns the history bound.
-func (s *Store) Bound() int { return s.bound }
-
-// Init records version 1, the model the estimator was created (or reloaded)
-// with.
-func (s *Store) Init(origin string, payload json.RawMessage) Version {
-	s.current = Version{ID: s.next, Origin: origin, CreatedAt: time.Now().UTC(), Payload: payload}
-	s.next++
-	return s.current.Meta()
-}
-
-// Add records a freshly trained model as the next numbered version. When
-// promote is true the new version becomes current and the outgoing champion
-// is archived; otherwise the new version is archived directly with
-// OriginRejected semantics left to the caller's origin argument.
-func (s *Store) Add(origin string, payload json.RawMessage, observations uint64, acc Metrics, gate *ShadowResult, promote bool) Version {
+// Mint numbers the next version and returns its metadata (no payload): the
+// caller either serves it or archives it with its payload attached.
+func (s *Store) Mint(origin string, observations uint64, acc Metrics, gate *ShadowResult) Version {
 	v := Version{
 		ID:           s.next,
 		Origin:       origin,
@@ -92,28 +83,19 @@ func (s *Store) Add(origin string, payload json.RawMessage, observations uint64,
 		Observations: observations,
 		Accuracy:     acc,
 		Gate:         gate,
-		Payload:      payload,
 	}
 	s.next++
-	if promote {
-		s.archive(s.current)
-		s.current = v
-	} else {
-		s.archive(v)
-	}
-	return v.Meta()
+	return v
 }
 
-// archive prepends a version to the bounded history (newest first).
-func (s *Store) archive(v Version) {
+// Archive prepends a version, payload included, to the bounded history
+// (newest first); the oldest versions fall off past the bound.
+func (s *Store) Archive(v Version) {
 	s.history = append([]Version{v}, s.history...)
 	if len(s.history) > s.bound {
 		s.history = s.history[:s.bound]
 	}
 }
-
-// Current returns the serving version's metadata.
-func (s *Store) Current() Version { return s.current.Meta() }
 
 // History returns the archived versions' metadata, newest first.
 func (s *Store) History() []Version {
@@ -141,14 +123,11 @@ func (s *Store) find(id int) (int, error) {
 	return -1, fmt.Errorf("lifecycle: version %d not found (history keeps the last %d versions)", id, s.bound)
 }
 
-// Peek returns the archived version Rollback(id) would restore — payload
-// included — without moving anything. Callers that must rebuild a model
-// from the payload before publishing the rollback use Peek first, so the
-// store never points at a version whose model failed to restore.
+// Peek returns the archived version Rollback(id, ...) would restore —
+// payload included — without moving anything. Callers rebuild the model
+// from the payload before publishing the rollback, so the store never
+// gives up a version whose model failed to restore.
 func (s *Store) Peek(id int) (Version, error) {
-	if id == s.current.ID && id != 0 {
-		return s.current, nil
-	}
 	idx, err := s.find(id)
 	if err != nil {
 		return Version{}, err
@@ -156,74 +135,54 @@ func (s *Store) Peek(id int) (Version, error) {
 	return s.history[idx], nil
 }
 
-// Rollback swaps the serving slot to an archived version. id 0 selects the
-// most recently archived one — after a promotion that is the previous
-// champion. The chosen version leaves the history, the outgoing current is
-// archived in its place, and the chosen version's payload is returned so
-// the caller can restore the model. Rolling back to the current version is
-// a no-op.
-func (s *Store) Rollback(id int) (Version, error) {
-	if id == s.current.ID && id != 0 {
-		return s.current, nil
-	}
+// Rollback takes archived version id (0 = the most recently archived; after
+// a promotion that is the previous champion) out of the history and
+// archives outgoing — the version leaving the serving slot, with its
+// payload — in its place. It returns the chosen version, payload included.
+func (s *Store) Rollback(id int, outgoing Version) (Version, error) {
 	idx, err := s.find(id)
 	if err != nil {
 		return Version{}, err
 	}
 	chosen := s.history[idx]
 	s.history = append(s.history[:idx], s.history[idx+1:]...)
-	s.archive(s.current)
-	s.current = chosen
+	s.Archive(outgoing)
 	return chosen, nil
 }
 
-// StoreState is the serializable form of a Store. Current's payload is
-// elided when the caller persists the serving model separately (the
-// registry's snapshot file stores it once, in the estimators map).
+// StoreState is the serializable form of a Store plus the serving version's
+// metadata. Current never carries a payload: the owner persists the serving
+// model itself.
 type StoreState struct {
 	Next    int       `json:"next"`
 	Current Version   `json:"current"`
 	History []Version `json:"history,omitempty"`
 }
 
-// State exports the store for persistence. When omitCurrentPayload is true
-// the current version's payload is stripped (the caller persists the
-// serving model itself elsewhere).
-func (s *Store) State(omitCurrentPayload bool) *StoreState {
-	cur := s.current
-	if omitCurrentPayload {
-		cur = cur.Meta()
-	}
+// State exports the store for persistence, with current — the serving
+// version — recorded beside the archive.
+func (s *Store) State(current Version) *StoreState {
 	return &StoreState{
 		Next:    s.next,
-		Current: cur,
+		Current: current.Meta(),
 		History: append([]Version(nil), s.history...),
 	}
 }
 
-// RestoreStore rebuilds a store from persisted state. currentPayload, when
-// non-nil, reattaches the serving model payload elided by State.
-func RestoreStore(bound int, st *StoreState, currentPayload json.RawMessage) *Store {
+// RestoreStore rebuilds a store from persisted state and returns it with
+// the serving version's metadata (the zero Version when st is nil).
+func RestoreStore(bound int, st *StoreState) (*Store, Version) {
 	s := NewStore(bound)
 	if st == nil {
-		return s
-	}
-	s.current = st.Current
-	if len(s.current.Payload) == 0 {
-		s.current.Payload = currentPayload
+		return s, Version{}
 	}
 	s.history = append([]Version(nil), st.History...)
 	if len(s.history) > s.bound {
 		s.history = s.history[:s.bound]
 	}
-	s.next = st.Next
-	if s.next <= s.current.ID {
-		s.next = s.current.ID + 1
-	}
+	s.next = max(st.Next, st.Current.ID+1)
 	for _, v := range s.history {
-		if s.next <= v.ID {
-			s.next = v.ID + 1
-		}
+		s.next = max(s.next, v.ID+1)
 	}
-	return s
+	return s, st.Current.Meta()
 }

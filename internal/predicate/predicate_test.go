@@ -321,3 +321,29 @@ func TestPropertyBoxesDisjointInUnit(t *testing.T) {
 		t.Error(err)
 	}
 }
+
+// TestObservationCodec round-trips an observation record bit-exactly —
+// NaN and -0 selectivities included, since validation is the caller's job
+// — and rejects a record that is truncated or carries trailing bytes.
+func TestObservationCodec(t *testing.T) {
+	p := And(Range(0, 1, 2), Not(Range(1, math.Inf(-1), 5)))
+	for _, sel := range []float64{0.25, math.Copysign(0, -1), math.NaN()} {
+		rec := AppendObservation([]byte("prefix"), p, sel)[len("prefix"):]
+		got, gotSel, err := DecodeObservation(rec)
+		if err != nil {
+			t.Fatalf("decode sel %v: %v", sel, err)
+		}
+		if math.Float64bits(gotSel) != math.Float64bits(sel) || string(AppendBinary(nil, got)) != string(AppendBinary(nil, p)) {
+			t.Fatalf("round trip of sel %v = (%v, %v)", sel, got, gotSel)
+		}
+		if _, _, err := DecodeObservation(rec[:7]); err == nil {
+			t.Fatal("truncated selectivity decoded")
+		}
+		if _, _, err := DecodeObservation(rec[:len(rec)-1]); err == nil {
+			t.Fatal("truncated predicate decoded")
+		}
+		if _, _, err := DecodeObservation(append(rec, 0)); err == nil {
+			t.Fatal("trailing byte accepted")
+		}
+	}
+}

@@ -3,8 +3,9 @@
 // estimators (one per table or schema), ingests observed selectivities into
 // bounded per-estimator buffers, and retrains dirty estimators in a
 // background worker so the estimate path never pays the training cost:
-// training happens on a clone built from a model snapshot, and the freshly
-// trained clone is swapped in atomically.
+// training happens on an in-process clone of the serving model, and the
+// freshly trained clone is published atomically as the estimator's new
+// serving record.
 //
 // Every estimator is backed by one of the pluggable estimation methods
 // (internal/estimator): QuickSel's mixture model by default, or one of the
@@ -194,21 +195,39 @@ type pendingObs struct {
 // nan marks estimates that failed; the tracker skips them.
 var nan = math.NaN()
 
-// estimatorState is the per-estimator shard: its own lock, the serving
-// estimator (swapped atomically after background training), the bounded
-// pending buffer, and serving statistics. Work on different estimators
-// never contends.
+// served is an estimator's serving record: the model answering estimates
+// and the version it serves as. The version is metadata only — a model's
+// serialized payload exists only once it leaves the serving slot and is
+// archived. A record is immutable: promotion, rollback, create, WAL create
+// replay and snapshot load each publish a whole new one.
+type served struct {
+	est *quicksel.Estimator
+	ver lifecycle.Version
+}
+
+// estimatorState is the per-estimator shard: the serving record, its own
+// lock, the bounded pending buffer, and serving statistics. Work on
+// different estimators never contends.
 type estimatorState struct {
-	name string
-	life lifecycle.Config // resolved lifecycle configuration (immutable)
+	// Set once by newState.
+	name   string
+	method string
+	schema *quicksel.Schema
+	life   lifecycle.Config // resolved lifecycle configuration
+
+	// serving is the current serving record. Readers load it without a
+	// lock; writers store it inside the mu critical section that also moves
+	// the version store, the tracker, the counters and the WAL watermarks,
+	// so a snapshot captured under mu is consistent.
+	serving atomic.Pointer[served]
 
 	mu      sync.Mutex
-	serving *quicksel.Estimator // estimator answering Estimate right now
-	pending []pendingObs        // observations not yet trained in
+	pending []pendingObs // observations not yet trained in
 
 	// Lifecycle state, guarded by mu. tracker records the serving model's
 	// prequential accuracy (its estimate for each observation at ingest
-	// time); store is the bounded immutable version history.
+	// time); store is the bounded archive of versions that left the
+	// serving slot.
 	tracker  *lifecycle.Tracker
 	store    *lifecycle.Store
 	lastGate *lifecycle.ShadowResult // most recent shadow verdict (nil before one)
@@ -504,9 +523,16 @@ func (r *Registry) Create(name string, schema *quicksel.Schema, opts ...quicksel
 	if err != nil {
 		return err
 	}
-	st, payload, err := r.newState(name, est, lifecycle.OriginInitial)
-	if err != nil {
-		return err
+	st := r.newState(name, est, lifecycle.OriginInitial, nil)
+	var rec []byte
+	if r.wal != nil {
+		payload, err := json.Marshal(est.Snapshot())
+		if err == nil {
+			rec, err = json.Marshal(walCreate{Name: name, Snapshot: payload})
+		}
+		if err != nil {
+			return fmt.Errorf("server: encode create record: %w", err)
+		}
 	}
 	var wait func() error
 	var seq uint64
@@ -520,11 +546,6 @@ func (r *Registry) Create(name string, schema *quicksel.Schema, opts ...quicksel
 		// section that publishes the estimator, so a concurrent snapshot
 		// capture can never observe a log tail that includes this create
 		// without the estimator being in the map.
-		rec, merr := json.Marshal(walCreate{Name: name, Snapshot: payload})
-		if merr != nil {
-			r.mu.Unlock()
-			return fmt.Errorf("server: encode create record: %w", merr)
-		}
 		_, seq, wait = r.wal.Enqueue([]wal.Record{{Type: walRecCreate, Payload: rec}})
 		st.walSeq, st.walConsumed = seq, seq
 	}
@@ -544,25 +565,44 @@ func (r *Registry) Create(name string, schema *quicksel.Schema, opts ...quicksel
 	return nil
 }
 
-// newState builds the per-estimator shard: the lifecycle configuration
-// layers the estimator's own options over the daemon defaults, and the
-// initial model becomes version 1 of the estimator's version store. The
-// returned payload is the initial model snapshot backing that version.
-func (r *Registry) newState(name string, est *quicksel.Estimator, origin string) (*estimatorState, json.RawMessage, error) {
-	life := r.cfg.Lifecycle.Merge(est.LifecycleConfig()).WithDefaults()
-	payload, err := json.Marshal(est.Snapshot())
-	if err != nil {
-		return nil, nil, fmt.Errorf("server: snapshot estimator %q: %w", name, err)
+// newState is the one constructor of per-estimator state — for Create, WAL
+// create replay and snapshot load alike — and publishes est as its first
+// serving record. A nil entry starts fresh lifecycle state: the
+// estimator's own lifecycle options layered over the daemon defaults, and
+// est serving as version 1 with the given origin. A persisted entry resumes
+// its lifecycle state, counters and WAL watermarks.
+func (r *Registry) newState(name string, est *quicksel.Estimator, origin string, entry *lifecycleEntry) *estimatorState {
+	st := &estimatorState{name: name, method: est.Method(), schema: est.Schema()}
+	var ver lifecycle.Version
+	if entry == nil {
+		st.life = r.cfg.Lifecycle.Merge(est.LifecycleConfig()).WithDefaults()
+		st.tracker = lifecycle.NewTracker(st.life)
+		st.store = lifecycle.NewStore(st.life.History)
+		ver = st.store.Mint(origin, 0, lifecycle.Metrics{}, nil)
+	} else {
+		st.life = entry.Config.WithDefaults()
+		st.tracker = lifecycle.RestoreTracker(st.life, entry.Tracker)
+		st.store, ver = lifecycle.RestoreStore(st.life.History, entry.Versions)
+		st.lastGate = entry.LastGate
+		st.observedTotal = entry.Observed
+		st.trainedTotal = entry.Trained
+		st.promotions = entry.Promotions
+		st.rejections = entry.Rejections
+		st.rollbacks = entry.Rollbacks
+		st.walSeq, st.walConsumed = entry.WalSeq, entry.WalConsumed
 	}
-	st := &estimatorState{
-		name:    name,
-		life:    life,
-		serving: est,
-		tracker: lifecycle.NewTracker(life),
-		store:   lifecycle.NewStore(life.History),
+	st.serving.Store(&served{est: est, ver: ver})
+	return st
+}
+
+// restoreModel rebuilds a model from a serialized snapshot envelope: an
+// archived version's payload or a WAL create record's initial state.
+func restoreModel(payload json.RawMessage) (*quicksel.Estimator, error) {
+	var snap quicksel.Snapshot
+	if err := json.Unmarshal(payload, &snap); err != nil {
+		return nil, err
 	}
-	st.store.Init(origin, payload)
-	return st, payload, nil
+	return quicksel.RestoreUntracked(&snap)
 }
 
 // Drop removes a named estimator and its state. With the WAL enabled the
@@ -659,9 +699,7 @@ func (r *Registry) ObserveBatch(name string, batch []Observation) (backlog, acce
 	if err != nil {
 		return 0, 0, err
 	}
-	st.mu.Lock()
-	schema := st.serving.Schema()
-	st.mu.Unlock()
+	schema := st.schema
 	// Parse the whole batch outside the lock: parsing is pure, and
 	// validating everything up front keeps the batch all-or-nothing — a
 	// client retrying after a mid-batch 400 must not double-ingest the
@@ -735,9 +773,7 @@ func (r *Registry) ObserveParsed(name string, recs []ParsedObservation) (estimat
 	}
 	start := time.Now()
 	defer func() { st.observeHist.Observe(time.Since(start)) }()
-	st.mu.Lock()
-	serving := st.serving
-	st.mu.Unlock()
+	serving := st.serving.Load().est
 	// Estimate against the serving model outside st.mu — the Estimator has
 	// its own lock and the serving model is never mutated in place, so these
 	// reads race nothing.
@@ -825,8 +861,9 @@ func (r *Registry) ObserveParsed(name string, recs []ParsedObservation) (estimat
 }
 
 // Estimate serves a selectivity estimate from the estimator's current
-// serving model. It never waits for training: the serving model is only
-// replaced by an atomic swap after a background run completes.
+// serving model. It takes no lock to find the model and never waits for
+// training: the serving record is only replaced by an atomic publish after
+// a background run completes.
 func (r *Registry) Estimate(name, where string) (float64, error) {
 	st, err := r.state(name)
 	if err != nil {
@@ -834,10 +871,7 @@ func (r *Registry) Estimate(name, where string) (float64, error) {
 	}
 	start := time.Now()
 	defer func() { st.estimateHist.Observe(time.Since(start)) }()
-	st.mu.Lock()
-	est := st.serving
-	st.mu.Unlock()
-	sel, err := est.EstimateWhere(where)
+	sel, err := st.serving.Load().est.EstimateWhere(where)
 	if err != nil {
 		return 0, err
 	}
@@ -847,9 +881,9 @@ func (r *Registry) Estimate(name, where string) (float64, error) {
 
 // EstimateBatch serves one estimate per WHERE clause, in input order, from
 // the estimator's current serving model. The whole batch runs against a
-// single model reference, so a concurrent background swap cannot split a
-// batch across two model generations; parsing and lock acquisition are
-// amortized across the batch. An unparsable clause fails the whole batch.
+// single serving record, so a concurrent background swap cannot split a
+// batch across two model generations; parsing is amortized across the
+// batch. An unparsable clause fails the whole batch.
 func (r *Registry) EstimateBatch(name string, wheres []string) ([]float64, error) {
 	st, err := r.state(name)
 	if err != nil {
@@ -857,10 +891,7 @@ func (r *Registry) EstimateBatch(name string, wheres []string) ([]float64, error
 	}
 	start := time.Now()
 	defer func() { st.batchHist.Observe(time.Since(start)) }()
-	st.mu.Lock()
-	est := st.serving
-	st.mu.Unlock()
-	sels, err := est.EstimateBatchWhere(wheres)
+	sels, err := st.serving.Load().est.EstimateBatchWhere(wheres)
 	if err != nil {
 		return nil, err
 	}
@@ -973,8 +1004,9 @@ func (r *Registry) anyPending() bool {
 // flushAndTrain drains the estimator's pending buffer into a clone of the
 // serving model, trains the clone, and routes the result through the
 // promotion gate. The estimator's lock is held only to take the buffer and
-// to swap — never across the method's training step (QP solve, iterative
-// scaling, rescan) — so Estimate latency is unaffected by training.
+// to publish — never across the method's training step (QP solve,
+// iterative scaling, rescan) or the archive marshal — and Estimate takes
+// no lock at all, so Estimate latency is unaffected by training.
 //
 // Under PolicyShadow the tail of the batch is held out: the challenger
 // trains on the head only, both champion and challenger are scored on the
@@ -1001,8 +1033,10 @@ func (r *Registry) flushAndTrain(st *estimatorState) error {
 	sp := obs.StartSpan("train", st.name)
 	batch := st.pending
 	st.pending = nil
-	base := st.serving
 	st.mu.Unlock()
+	// trainMu is held: only this run can replace the serving record.
+	cur := st.serving.Load()
+	base := cur.est
 	sp.Stage("flush")
 
 	holdN := 0
@@ -1077,7 +1111,14 @@ func (r *Registry) flushAndTrain(st *estimatorState) error {
 	if err != nil {
 		return r.trainFailed(st, sp, batch, start, err)
 	}
-	payload, err := json.Marshal(clone.Snapshot())
+	// The model leaving the serving slot — the outgoing champion on
+	// promotion, the challenger on rejection — is archived, so it is the
+	// one the run marshals: once, off-lock, and immutable by now.
+	leaving := clone
+	if promote {
+		leaving = base
+	}
+	payload, err := json.Marshal(leaving.Snapshot())
 	if err != nil {
 		return r.trainFailed(st, sp, batch, start, err)
 	}
@@ -1091,13 +1132,18 @@ func (r *Registry) flushAndTrain(st *estimatorState) error {
 		origin = lifecycle.OriginRejected
 	}
 	st.mu.Lock()
-	v := st.store.Add(origin, payload, st.observedTotal, st.tracker.Report().Metrics, gate, promote)
+	v := st.store.Mint(origin, st.observedTotal, st.tracker.Report().Metrics, gate)
 	if promote {
-		st.serving = clone
+		out := cur.ver
+		out.Payload = payload
+		st.store.Archive(out)
+		st.serving.Store(&served{est: clone, ver: v})
 		st.promotions++
 		// The serving model changed: judge it on fresh drift statistics.
 		st.tracker.ResetDrift()
 	} else {
+		v.Payload = payload
+		st.store.Archive(v)
 		st.rejections++
 	}
 	// The batch is consumed — absorbed into the new version (or deliberately
@@ -1184,45 +1230,44 @@ func (r *Registry) Rollback(name string, versionID int) (lifecycle.Version, erro
 	if err != nil {
 		return lifecycle.Version{}, err
 	}
-	// trainMu keeps a concurrent train run from swapping between our
+	// trainMu keeps a concurrent train run from publishing between our
 	// restore and our publish; SaveSnapshot only reads under st.mu, and the
-	// store move + serving swap below happen in one st.mu critical section,
-	// so a snapshot can never capture a store/serving pair that disagree.
+	// store move + serving publish below happen in one st.mu critical
+	// section, so a snapshot can never capture a store/serving pair that
+	// disagree.
 	st.trainMu.Lock()
 	defer st.trainMu.Unlock()
 
-	st.mu.Lock()
-	cur := st.store.Current()
-	st.mu.Unlock()
-	if versionID != 0 && versionID == cur.ID {
-		return cur, nil // already serving
+	cur := st.serving.Load()
+	if versionID != 0 && versionID == cur.ver.ID {
+		return cur.ver, nil // already serving
 	}
 
-	// Rebuild the model from the archived payload before touching the
-	// store: a version whose model fails to restore must leave the
-	// bookkeeping untouched. trainMu guarantees the store cannot change
-	// between Peek and Rollback.
+	// Rebuild the model from the archived payload, and archive the outgoing
+	// one, before touching the store: a version whose model fails to
+	// restore must leave the bookkeeping untouched. trainMu guarantees the
+	// store cannot change between Peek and Rollback.
 	st.mu.Lock()
 	v, err := st.store.Peek(versionID)
 	st.mu.Unlock()
 	if err != nil {
 		return lifecycle.Version{}, &RollbackError{Name: name, Err: err}
 	}
-	var snap quicksel.Snapshot
-	if err := json.Unmarshal(v.Payload, &snap); err != nil {
-		return lifecycle.Version{}, &RollbackError{Name: name, Err: fmt.Errorf("restore version %d: %w", v.ID, err)}
-	}
-	est, err := quicksel.RestoreUntracked(&snap)
+	est, err := restoreModel(v.Payload)
 	if err != nil {
 		return lifecycle.Version{}, &RollbackError{Name: name, Err: fmt.Errorf("restore version %d: %w", v.ID, err)}
 	}
+	out := cur.ver
+	if out.Payload, err = json.Marshal(cur.est.Snapshot()); err != nil {
+		return lifecycle.Version{}, &RollbackError{Name: name, Err: fmt.Errorf("archive version %d: %w", out.ID, err)}
+	}
 
 	st.mu.Lock()
-	if _, err := st.store.Rollback(v.ID); err != nil {
+	if _, err := st.store.Rollback(v.ID, out); err != nil {
 		st.mu.Unlock()
 		return lifecycle.Version{}, &RollbackError{Name: name, Err: err}
 	}
-	st.serving = est
+	st.serving.Store(&served{est: est, ver: v.Meta()})
 	st.rollbacks++
 	st.tracker.ResetDrift()
 	st.mu.Unlock()
@@ -1263,8 +1308,8 @@ func (r *Registry) Versions(name string) (VersionsInfo, error) {
 	defer st.mu.Unlock()
 	return VersionsInfo{
 		Name:    st.name,
-		Method:  st.serving.Method(),
-		Current: st.store.Current(),
+		Method:  st.method,
+		Current: st.serving.Load().ver,
 		History: st.store.History(),
 	}, nil
 }
@@ -1292,23 +1337,22 @@ func (r *Registry) Accuracy(name string) (AccuracyInfo, error) {
 	defer st.mu.Unlock()
 	return AccuracyInfo{
 		Name:     st.name,
-		Method:   st.serving.Method(),
+		Method:   st.method,
 		Policy:   string(st.life.Policy),
 		Accuracy: st.tracker.Report(),
-		Version:  st.store.Current(),
+		Version:  st.serving.Load().ver,
 		LastGate: st.lastGate,
 	}, nil
 }
 
 // requeue returns a failed batch to the front of the pending buffer so a
-// transient training error does not lose observations.
+// transient training error does not lose observations. Nothing is cut:
+// every record was acknowledged (and logged), and ObserveParsed admits no
+// new record while the backlog is at or above BufferSize, so the backlog
+// stays below twice BufferSize.
 func (r *Registry) requeue(st *estimatorState, batch []pendingObs) {
 	st.mu.Lock()
 	st.pending = append(batch, st.pending...)
-	if len(st.pending) > r.cfg.BufferSize {
-		st.droppedTotal += uint64(len(st.pending) - r.cfg.BufferSize)
-		st.pending = st.pending[:r.cfg.BufferSize]
-	}
 	st.mu.Unlock()
 }
 
@@ -1364,11 +1408,12 @@ func (r *Registry) info(st *estimatorState) EstimatorInfo {
 	qerr := st.qerrorHist.Snapshot()
 	st.mu.Lock()
 	defer st.mu.Unlock()
+	cur := st.serving.Load()
 	track := st.tracker.Report()
 	return EstimatorInfo{
 		Name:          st.name,
-		Method:        st.serving.Method(),
-		Columns:       st.serving.Schema().Dim(),
+		Method:        st.method,
+		Columns:       st.schema.Dim(),
 		Observed:      st.observedTotal,
 		Dropped:       st.droppedTotal,
 		Backlog:       len(st.pending),
@@ -1380,9 +1425,9 @@ func (r *Registry) info(st *estimatorState) EstimatorInfo {
 		LastTrainErr:  st.lastTrainErr,
 		LastTrainMode: st.lastTrainMode,
 		LastTrainSecs: st.lastTrainDur.Seconds(),
-		Params:        st.serving.ParamCount(),
+		Params:        cur.est.ParamCount(),
 		Policy:        string(st.life.Policy),
-		Version:       st.store.Current().ID,
+		Version:       cur.ver.ID,
 		Promotions:    st.promotions,
 		Rejections:    st.rejections,
 		Rollbacks:     st.rollbacks,
@@ -1424,8 +1469,8 @@ type snapshotFile struct {
 	Version    int                           `json:"version"`
 	Estimators map[string]*quicksel.Snapshot `json:"estimators"`
 	// Lifecycles is the per-estimator lifecycle state (absent before v3).
-	// The serving model's version payload is elided — it is the estimator's
-	// envelope above — and reattached on load.
+	// The serving version carries no payload: its model is the estimator's
+	// envelope above.
 	Lifecycles map[string]*lifecycleEntry `json:"lifecycles,omitempty"`
 	// Wal is the registry-wide log position (absent before v4 and when the
 	// log is disabled).
@@ -1499,22 +1544,22 @@ func (r *Registry) SaveSnapshot() error {
 	// Creates and drops enqueue and publish under the exclusive r.mu, so
 	// the RLock below keeps them consistent with this tail too.
 	covered := uint64(math.MaxUint64)
+	models := map[string]*quicksel.Estimator{}
 	r.mu.RLock()
 	if r.wal != nil {
 		covered = r.wal.LastSeq()
 	}
 	for name, st := range r.estimators {
-		// Capture the serving model and its lifecycle state in one critical
-		// section of the same lock the trainer's swap takes: a train run (or
-		// rollback) completing between two reads cannot produce a snapshot
-		// whose version history disagrees with its serving model.
+		// Capture the serving record and its lifecycle state in one critical
+		// section of the same lock the trainer's publish takes: a train run
+		// (or rollback) completing between two reads cannot produce a
+		// snapshot whose version history disagrees with its serving model.
 		st.mu.Lock()
-		est := st.serving
-		snap := est.Snapshot()
+		cur := st.serving.Load()
 		entry := &lifecycleEntry{
 			Config:      st.life,
 			Tracker:     st.tracker.State(),
-			Versions:    st.store.State(true),
+			Versions:    st.store.State(cur.ver),
 			LastGate:    st.lastGate,
 			Observed:    st.observedTotal,
 			Trained:     st.trainedTotal,
@@ -1528,22 +1573,27 @@ func (r *Registry) SaveSnapshot() error {
 			covered = st.pending[0].seq - 1
 		}
 		st.mu.Unlock()
-		if snap.Model == nil && len(snap.State) == 0 {
-			// Estimator.Snapshot has no error return, so a backend whose
-			// state failed to serialize yields an empty envelope. Refuse to
-			// persist it: overwriting the previous good snapshot with one
-			// that cannot restore would only be discovered at the next boot,
-			// after the learned state is already gone.
-			r.mu.RUnlock()
-			return fmt.Errorf("server: estimator %q (%s) produced an empty snapshot; keeping the previous snapshot file", name, est.Method())
-		}
-		out.Estimators[name] = snap
+		models[name] = cur.est
 		out.Lifecycles[name] = entry
 	}
 	if r.wal != nil {
 		out.Wal = &walFileInfo{Covered: covered}
 	}
 	r.mu.RUnlock()
+	// Serialize the captured models with no lock held: each is immutable,
+	// and its record was captured together with the entry describing it.
+	for name, est := range models {
+		snap := est.Snapshot()
+		if snap.Model == nil && len(snap.State) == 0 {
+			// Estimator.Snapshot has no error return, so a backend whose
+			// state failed to serialize yields an empty envelope. Refuse to
+			// persist it: overwriting the previous good snapshot with one
+			// that cannot restore would only be discovered at the next boot,
+			// after the learned state is already gone.
+			return fmt.Errorf("server: estimator %q (%s) produced an empty snapshot; keeping the previous snapshot file", name, est.Method())
+		}
+		out.Estimators[name] = snap
+	}
 	data, err := json.MarshalIndent(&out, "", "  ")
 	if err != nil {
 		return err
@@ -1653,40 +1703,8 @@ func (r *Registry) loadSnapshotFile(path string) error {
 			skip(name, err)
 			continue
 		}
-		entry := in.Lifecycles[name] // nil for v1/v2 files: fresh lifecycle state
-		if entry == nil {
-			st, _, err := r.newState(name, est, lifecycle.OriginRestored)
-			if err != nil {
-				skip(name, err)
-				continue
-			}
-			r.estimators[name] = st
-			continue
-		}
-		life := entry.Config.WithDefaults()
-		// Reattach the serving model as the current version's payload (it is
-		// elided from the persisted store state to avoid writing the model
-		// twice).
-		payload, err := json.Marshal(snap)
-		if err != nil {
-			skip(name, fmt.Errorf("re-encode: %w", err))
-			continue
-		}
-		r.estimators[name] = &estimatorState{
-			name:          name,
-			life:          life,
-			serving:       est,
-			tracker:       lifecycle.RestoreTracker(life, entry.Tracker),
-			store:         lifecycle.RestoreStore(life.History, entry.Versions, payload),
-			lastGate:      entry.LastGate,
-			observedTotal: entry.Observed,
-			trainedTotal:  entry.Trained,
-			promotions:    entry.Promotions,
-			rejections:    entry.Rejections,
-			rollbacks:     entry.Rollbacks,
-			walSeq:        entry.WalSeq,
-			walConsumed:   entry.WalConsumed,
-		}
+		// v1/v2 files have no lifecycle entry: fresh lifecycle state.
+		r.estimators[name] = r.newState(name, est, lifecycle.OriginRestored, in.Lifecycles[name])
 	}
 	return nil
 }

@@ -207,10 +207,7 @@ func (s *Server) collect() obs.Telemetry {
 	states := s.reg.states()
 	labels := make([]map[string]string, len(states))
 	for i, st := range states {
-		st.mu.Lock()
-		method := st.serving.Method()
-		st.mu.Unlock()
-		labels[i] = map[string]string{"estimator": st.name, "method": method}
+		labels[i] = map[string]string{"estimator": st.name, "method": st.method}
 	}
 	perEstHist := func(name, help, unit string, snap func(*estimatorState) obs.HistSnapshot) {
 		f := obs.Family{Name: name, Help: help, Type: "histogram", Unit: unit}

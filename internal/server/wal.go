@@ -5,7 +5,6 @@ import (
 	"encoding/json"
 	"fmt"
 	"log/slog"
-	"math"
 	"sync"
 
 	"quicksel"
@@ -62,8 +61,7 @@ const (
 // this costs nanoseconds:
 //
 //	uvarint len(name), name bytes
-//	8-byte LE selectivity bits
-//	binary predicate (predicate.AppendBinary)
+//	predicate.AppendObservation: 8-byte LE selectivity bits, binary predicate
 //
 // The rare record types (create, drop, events) stay JSON for debuggability.
 
@@ -88,12 +86,12 @@ func (s *observeScratch) encode(name string, recs []ParsedObservation) {
 	}
 }
 
-// appendObservePayload encodes one observation record payload.
+// appendObservePayload encodes one observation record payload: the
+// uvarint-prefixed estimator name, then predicate.AppendObservation.
 func appendObservePayload(dst []byte, name string, pred *quicksel.Predicate, sel float64) []byte {
 	dst = binary.AppendUvarint(dst, uint64(len(name)))
 	dst = append(dst, name...)
-	dst = binary.LittleEndian.AppendUint64(dst, math.Float64bits(sel))
-	return predicate.AppendBinary(dst, pred)
+	return predicate.AppendObservation(dst, pred, sel)
 }
 
 // decodeObservePayload decodes appendObservePayload's output.
@@ -103,19 +101,8 @@ func decodeObservePayload(data []byte) (name string, pred *quicksel.Predicate, s
 		return "", nil, 0, fmt.Errorf("bad name length")
 	}
 	name = string(data[k : k+int(n)])
-	data = data[k+int(n):]
-	if len(data) < 8 {
-		return "", nil, 0, fmt.Errorf("truncated selectivity")
-	}
-	sel = math.Float64frombits(binary.LittleEndian.Uint64(data))
-	pred, rest, err := predicate.DecodeBinary(data[8:])
-	if err != nil {
-		return "", nil, 0, err
-	}
-	if len(rest) != 0 {
-		return "", nil, 0, fmt.Errorf("%d trailing bytes", len(rest))
-	}
-	return name, pred, sel, nil
+	pred, sel, err = predicate.DecodeObservation(data[k+int(n):])
+	return name, pred, sel, err
 }
 
 // walCreate carries the initial estimator state, so recovery rebuilds
@@ -196,21 +183,12 @@ func (r *Registry) applyRecord(rec wal.Record) (applied bool) {
 		if exists {
 			return false // the snapshot already covers this create
 		}
-		var snap quicksel.Snapshot
-		if err := json.Unmarshal(c.Snapshot, &snap); err != nil {
-			skip("create "+c.Name, err)
-			return false
-		}
-		est, err := quicksel.RestoreUntracked(&snap)
+		est, err := restoreModel(c.Snapshot)
 		if err != nil {
 			skip("create "+c.Name, err)
 			return false
 		}
-		st, _, err := r.newState(c.Name, est, lifecycle.OriginInitial)
-		if err != nil {
-			skip("create "+c.Name, err)
-			return false
-		}
+		st := r.newState(c.Name, est, lifecycle.OriginInitial, nil)
 		st.walSeq, st.walConsumed = rec.Seq, rec.Seq
 		r.mu.Lock()
 		r.estimators[c.Name] = st
@@ -287,12 +265,11 @@ func (r *Registry) replayObservation(seq uint64, name string, pred *quicksel.Pre
 		return false // already inside the snapshot's model
 	}
 	fresh := seq > st.walSeq // ingested after the snapshot: its sample died with the process
-	serving := st.serving
 	st.mu.Unlock()
 
 	est := nan
 	if fresh {
-		if v, err := serving.Estimate(pred); err == nil {
+		if v, err := st.serving.Load().est.Estimate(pred); err == nil {
 			est = v
 		}
 	}

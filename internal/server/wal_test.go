@@ -1,6 +1,7 @@
 package server
 
 import (
+	"encoding/hex"
 	"encoding/json"
 	"fmt"
 	"math/rand"
@@ -12,6 +13,7 @@ import (
 	"time"
 
 	"quicksel"
+	"quicksel/internal/wal"
 )
 
 // closeAbrupt simulates a crash for tests: it stops the background worker
@@ -475,5 +477,44 @@ func TestWALCompactionBoundsLog(t *testing.T) {
 	}
 	if len(segs) > 2 {
 		t.Errorf("%d segments retained after full coverage, want <= 2: %v", len(segs), segs)
+	}
+}
+
+// TestRegistryWALObserveGoldenBytes pins the on-disk payload of one
+// registry observation record: the uvarint-prefixed estimator name, then
+// the same selectivity-plus-predicate encoding the library log writes. A
+// change here breaks every existing log directory.
+func TestRegistryWALObserveGoldenBytes(t *testing.T) {
+	dir := t.TempDir()
+	reg, err := NewRegistry(Config{WALDir: dir, TrainInterval: time.Hour})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := reg.Create("people", walSchema(t)); err != nil {
+		t.Fatal(err)
+	}
+	p := quicksel.And(quicksel.Range(0, 25, 40), quicksel.AtMost(1, 1e5))
+	if _, _, _, err := reg.ObserveParsed("people", []ParsedObservation{{Pred: p, Sel: 0.125}}); err != nil {
+		t.Fatal(err)
+	}
+	reg.closeAbrupt()
+
+	l, err := wal.Open(dir, wal.Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer l.Close()
+	var got []string
+	if err := l.Replay(1, func(rec wal.Record) error {
+		if rec.Type == walRecObserve {
+			got = append(got, hex.EncodeToString(rec.Payload))
+		}
+		return nil
+	}); err != nil {
+		t.Fatal(err)
+	}
+	const want = "0670656f706c65000000000000c03f02020100000000000000394000000000000044400101000000000000f0ff00000000006af840"
+	if len(got) != 1 || got[0] != want {
+		t.Fatalf("observe payloads = %v, want one record %s", got, want)
 	}
 }

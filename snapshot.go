@@ -103,10 +103,12 @@ func Restore(s *Snapshot, opts ...Option) (*Estimator, error) { return restore(s
 
 // RestoreUntracked is Restore with in-process accuracy tracking disabled:
 // Observe skips the prequential sample and Accuracy reports an empty
-// window. The serving registry uses it for training clones and reloaded
-// serving models — it records realized accuracy registry-side, across
-// model swaps, so a per-model tracker would only duplicate work on the
-// training path and persist meaningless samples.
+// window. The serving registry uses it to rebuild serving models from the
+// snapshot file, from archived versions on rollback, and from logged
+// creates on replay (its training clones come from CloneForTraining) — it
+// records realized accuracy registry-side, across model swaps, so a
+// per-model tracker would only duplicate work and persist meaningless
+// samples.
 func RestoreUntracked(s *Snapshot, opts ...Option) (*Estimator, error) {
 	return restore(s, false, opts)
 }
