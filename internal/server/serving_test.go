@@ -9,12 +9,11 @@ import (
 )
 
 // quietRegistry is a registry whose background trainer never runs on its
-// own during a test: an hour-long debounce and a drift threshold no
-// feedback stream reaches.
+// own during a test: an hour-long debounce and drift detection off.
 func quietRegistry(t *testing.T, cfg Config) *Registry {
 	t.Helper()
 	cfg.TrainInterval = time.Hour
-	cfg.Lifecycle.DriftThreshold = 1e9
+	cfg.Lifecycle.DriftThreshold = -1
 	reg, err := NewRegistry(cfg)
 	if err != nil {
 		t.Fatal(err)
