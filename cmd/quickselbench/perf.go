@@ -7,6 +7,7 @@ import (
 	"os"
 	"runtime"
 	"strings"
+	"sync"
 	"time"
 
 	"quicksel"
@@ -33,6 +34,11 @@ type perfResult struct {
 	TrainSpeedup    float64 `json:"train_speedup"`
 	EstimateNs      float64 `json:"estimate_ns"`
 	BatchPerQueryNs float64 `json:"estimate_batch_per_query_ns"`
+	// EstimateParNs is wall time per query with GOMAXPROCS goroutines
+	// estimating concurrently through the public Estimator. Trained
+	// estimates take no lock, so on a multi-core host it falls below the
+	// single-goroutine cost instead of serializing.
+	EstimateParNs float64 `json:"estimate_par_ns"`
 	// Tail percentiles of the single-estimate latency, from the same
 	// log-linear histogram the daemon exports on /metrics; the mean above
 	// hides the tail the daemon's SLO lives on.
@@ -98,34 +104,39 @@ func timeTrain(m, d, workers int) (time.Duration, *core.Model, error) {
 	return time.Since(start), model, nil
 }
 
-// timeBatch measures per-query time through the real public batch path —
-// predicate lowering outside the estimator lock, one lock acquisition per
-// EstimateBatch call — so the JSON column characterizes the batch API, not
-// a re-run of the single-estimate kernel.
-func timeBatch(m, d int) (nsPerQuery float64, err error) {
+// perfEstimator builds and trains the public estimator the batch and
+// parallel columns time: d real [0,1] columns, a fixed m-subpopulation
+// budget, m/10 single-column range observations.
+func perfEstimator(m, d int) (*quicksel.Estimator, error) {
 	cols := make([]quicksel.Column, d)
 	for i := range cols {
 		cols[i] = quicksel.Column{Name: fmt.Sprintf("c%d", i), Kind: quicksel.Real, Min: 0, Max: 1}
 	}
 	schema, err := quicksel.NewSchema(cols...)
 	if err != nil {
-		return 0, err
+		return nil, err
 	}
 	est, err := quicksel.New(schema, quicksel.WithSeed(1), quicksel.WithFixedSubpopulations(m))
 	if err != nil {
-		return 0, err
+		return nil, err
 	}
 	rng := rand.New(rand.NewSource(2))
 	for q := 0; q < m/10; q++ {
 		lo := rng.Float64() * 0.7
 		if err := est.Observe(quicksel.Range(q%d, lo, lo+0.3), rng.Float64()); err != nil {
-			return 0, err
+			return nil, err
 		}
 	}
-	if err := est.Train(); err != nil {
-		return 0, err
-	}
+	return est, est.Train()
+}
+
+// timeBatch measures per-query time through the real public batch path —
+// predicate lowering first, then one read of the model for the whole
+// EstimateBatch call — so the JSON column characterizes the batch API, not
+// a re-run of the single-estimate kernel.
+func timeBatch(est *quicksel.Estimator, d int) (nsPerQuery float64, err error) {
 	const batch = 128
+	rng := rand.New(rand.NewSource(3))
 	preds := make([]*quicksel.Predicate, batch)
 	for i := range preds {
 		lo := rng.Float64() * 0.8
@@ -141,6 +152,41 @@ func timeBatch(m, d int) (nsPerQuery float64, err error) {
 	return float64(time.Since(start).Nanoseconds()) / (iters * batch), nil
 }
 
+// timeParallel measures wall time per query while GOMAXPROCS goroutines
+// call the public Estimate concurrently, each on the [0.2, 0.7)^d box the
+// single-estimate column times.
+func timeParallel(est *quicksel.Estimator, d int) (nsPerQuery float64, err error) {
+	kids := make([]*quicksel.Predicate, d)
+	for k := range kids {
+		kids[k] = quicksel.Range(k, 0.2, 0.7)
+	}
+	pred := quicksel.And(kids...)
+	const perGoroutine = 1000
+	g := runtime.GOMAXPROCS(0)
+	errs := make(chan error, g)
+	var wg sync.WaitGroup
+	start := time.Now()
+	for w := 0; w < g; w++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for i := 0; i < perGoroutine; i++ {
+				if _, err := est.Estimate(pred); err != nil {
+					errs <- err
+					return
+				}
+			}
+		}()
+	}
+	wg.Wait()
+	elapsed := time.Since(start)
+	close(errs)
+	if err := <-errs; err != nil {
+		return 0, err
+	}
+	return float64(elapsed.Nanoseconds()) / float64(g*perGoroutine), nil
+}
+
 // runPerf measures the training and serving kernels across the size matrix
 // and writes BENCH_quicksel.json. maxM (when > 0) caps the subpopulation
 // axis so a laptop run can skip the multi-second m=4000 rows.
@@ -153,9 +199,9 @@ func runPerf(outPath string, maxM int) (string, error) {
 	}
 	var b strings.Builder
 	fmt.Fprintf(&b, "perf: GOMAXPROCS=%d %s\n", report.GoMaxProcs, report.GoVersion)
-	fmt.Fprintf(&b, "%6s %3s %14s %14s %8s %13s %14s %10s %10s %10s\n",
+	fmt.Fprintf(&b, "%6s %3s %14s %14s %8s %13s %14s %10s %10s %10s %12s\n",
 		"m", "d", "train-seq-ms", "train-par-ms", "speedup", "estimate-ns", "batch-ns/query",
-		"est-p50-ns", "est-p95-ns", "est-p99-ns")
+		"est-p50-ns", "est-p95-ns", "est-p99-ns", "est-par-ns")
 	for _, sz := range perfSizes {
 		if maxM > 0 && sz.m > maxM {
 			continue
@@ -190,9 +236,17 @@ func runPerf(outPath string, maxM int) (string, error) {
 		estNs := float64(time.Since(start).Nanoseconds()) / estIters
 		snap := hist.Snapshot()
 
-		batchNs, err := timeBatch(sz.m, sz.d)
+		est, err := perfEstimator(sz.m, sz.d)
+		if err != nil {
+			return "", fmt.Errorf("perf m=%d d=%d estimator: %w", sz.m, sz.d, err)
+		}
+		batchNs, err := timeBatch(est, sz.d)
 		if err != nil {
 			return "", fmt.Errorf("perf m=%d d=%d batch: %w", sz.m, sz.d, err)
+		}
+		parNs, err := timeParallel(est, sz.d)
+		if err != nil {
+			return "", fmt.Errorf("perf m=%d d=%d parallel estimate: %w", sz.m, sz.d, err)
 		}
 
 		res := perfResult{
@@ -203,15 +257,16 @@ func runPerf(outPath string, maxM int) (string, error) {
 			TrainSpeedup:    seq.Seconds() / par.Seconds(),
 			EstimateNs:      estNs,
 			BatchPerQueryNs: batchNs,
+			EstimateParNs:   parNs,
 			EstimateP50Ns:   float64(snap.Quantile(0.50).Nanoseconds()),
 			EstimateP95Ns:   float64(snap.Quantile(0.95).Nanoseconds()),
 			EstimateP99Ns:   float64(snap.Quantile(0.99).Nanoseconds()),
 		}
 		report.Results = append(report.Results, res)
-		fmt.Fprintf(&b, "%6d %3d %14.1f %14.1f %8.2f %13.0f %14.0f %10.0f %10.0f %10.0f\n",
+		fmt.Fprintf(&b, "%6d %3d %14.1f %14.1f %8.2f %13.0f %14.0f %10.0f %10.0f %10.0f %12.0f\n",
 			res.M, res.D, res.TrainSeqMs, res.TrainParMs, res.TrainSpeedup,
 			res.EstimateNs, res.BatchPerQueryNs,
-			res.EstimateP50Ns, res.EstimateP95Ns, res.EstimateP99Ns)
+			res.EstimateP50Ns, res.EstimateP95Ns, res.EstimateP99Ns, res.EstimateParNs)
 	}
 	observe, observeOut, err := runObserveBench()
 	if err != nil {

@@ -155,9 +155,14 @@
 // each matrix element accumulates its floating-point terms in a fixed order
 // and workers write disjoint rows, so parallelism never perturbs snapshots.
 //
-// Serving compiles the trained model at Train time into an immutable form —
-// zero-weight subpopulations pruned, weights pre-divided by box volume,
-// bounds in contiguous arrays — so Estimate is an allocation-free loop. For
-// many predicates at once, EstimateBatch and EstimateBatchWhere lower and
-// parse outside the estimator lock and acquire it once per batch.
+// Serving compiles the trained model at Train time into an immutable read
+// view — zero-weight subpopulations pruned, weights pre-divided by box
+// volume, bounds in contiguous arrays — so Estimate is a branchless,
+// allocation-free loop. Once a QuickSel model is trained, estimates take no
+// lock: Estimate, EstimateBatch and their Where variants read the view
+// through an atomic pointer, so concurrent estimates scale with cores and
+// never wait behind Observe or Train. Only while observations are pending
+// (the next estimate fits lazily), and for the other methods, do estimates
+// take the estimator lock. EstimateBatch answers a whole batch from one
+// view.
 package quicksel

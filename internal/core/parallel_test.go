@@ -159,7 +159,7 @@ func TestCompiledModelMatchesDirectEvaluation(t *testing.T) {
 	for i := 0; i < len(m.weights); i += 3 {
 		m.weights[i] = 0
 	}
-	m.compiled = compile(m.subpops, m.weights)
+	m.publish()
 
 	rng := rand.New(rand.NewSource(5))
 	for q := 0; q < 50; q++ {

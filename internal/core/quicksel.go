@@ -119,9 +119,12 @@ type observation struct {
 	points [][]float64
 }
 
-// Model is QuickSel's trainable uniform mixture model. It is not safe for
-// concurrent mutation; wrap with the public quicksel.Estimator for a
-// synchronized facade.
+// Model is QuickSel's trainable uniform mixture model. Its methods are not
+// safe for concurrent use — Estimate trains lazily, so even it mutates —
+// except View, whose result may be read from any goroutine: concurrent
+// readers call View once under the caller's lock and then estimate on the
+// returned *View with no lock at all. The public quicksel.Estimator is the
+// synchronized facade that does exactly that.
 type Model struct {
 	cfg  Config
 	rng  *rand.Rand
@@ -141,17 +144,11 @@ type Model struct {
 	// Trained state.
 	subpops []geom.Box
 	weights []float64
-	trained bool
 
-	// compiled is the immutable serving form of the trained state (zero
-	// weights pruned, weights pre-divided by volume, bounds in SoA arrays);
-	// nil when untrained, uniform, or all-zero-weight.
-	compiled *compiledModel
-
-	// qlo/qhi are reusable clipped-query corners so Estimate allocates
-	// nothing. The Model is single-goroutine by contract (the public
-	// Estimator's mutex serializes access), so one scratch pair suffices.
-	qlo, qhi []float64
+	// view is the immutable read view of the trained state (see View),
+	// republished by every training run; nil while untrained, i.e. before
+	// the first Train and after every Observe.
+	view *View
 
 	// Diagnostics for the experiment drivers.
 	lastIters     int    // iterations of the iterative solver (0 for analytic)
@@ -215,8 +212,6 @@ func New(cfg Config) (*Model, error) {
 		rng:  rand.New(src),
 		src:  src,
 		unit: geom.Unit(c.Dim),
-		qlo:  make([]float64, c.Dim),
-		qhi:  make([]float64, c.Dim),
 	}
 	m.defaultPoints = make([][]float64, c.PointsPerPredicate)
 	for i := range m.defaultPoints {
@@ -237,7 +232,13 @@ func (m *Model) NumObserved() int { return len(m.observations) }
 
 // NeedsTraining reports whether observations have arrived since the last
 // training run, i.e. whether the next Estimate would pay a lazy refit.
-func (m *Model) NeedsTraining() bool { return !m.trained && len(m.observations) > 0 }
+func (m *Model) NeedsTraining() bool { return m.view == nil && len(m.observations) > 0 }
+
+// View returns the immutable read view of the trained model, or nil while
+// the model is untrained (an estimate would first have to train). The view
+// stays valid, and safe for concurrent use, after later Observe and Train
+// calls; they publish a new view rather than change this one.
+func (m *Model) View() *View { return m.view }
 
 // ParamCount returns the number of model parameters (subpopulation
 // weights) of the last trained model; 0 before training.
@@ -297,11 +298,11 @@ func (m *Model) Observe(box geom.Box, sel float64) error {
 		}
 	}
 	if m.cfg.MaxObservations > 0 && m.coresetAbsorb(obs) {
-		m.trained = false
+		m.view = nil
 		return nil
 	}
 	m.observations = append(m.observations, obs)
-	m.trained = false
+	m.view = nil
 	return nil
 }
 
@@ -340,8 +341,8 @@ func (m *Model) Train() error {
 func (m *Model) trainFull() error {
 	n := len(m.observations)
 	if n == 0 {
-		m.subpops, m.weights, m.compiled = nil, nil, nil
-		m.trained = true
+		m.subpops, m.weights = nil, nil
+		m.publish()
 		m.lastIters = 0
 		m.lastTrainMode = TrainModeFull
 		m.clearWarm()
@@ -351,8 +352,8 @@ func (m *Model) trainFull() error {
 	centers := m.sampleCenters(m.targetSubpops())
 	if len(centers) == 0 {
 		// All observed predicates were empty boxes; fall back to uniform.
-		m.subpops, m.weights, m.compiled = nil, nil, nil
-		m.trained = true
+		m.subpops, m.weights = nil, nil
+		m.publish()
 		m.lastIters = 0
 		m.lastTrainMode = TrainModeFull
 		m.clearWarm()
@@ -389,8 +390,7 @@ func (m *Model) trainFull() error {
 		m.weights = w
 		m.lastIters = 0
 	}
-	m.compiled = compile(m.subpops, m.weights)
-	m.trained = true
+	m.publish()
 	m.lastTrainMode = TrainModeFull
 	return nil
 }
@@ -499,21 +499,27 @@ func (m *Model) assemble() (q, a *linalg.Matrix, s []float64) {
 	return q, a, s
 }
 
+// publish compiles the trained subpopulations and weights into a fresh
+// read view. Every path that leaves the model trained ends here.
+func (m *Model) publish() {
+	v := &View{unit: m.unit, uniform: len(m.subpops) == 0}
+	if !v.uniform {
+		v.compiled = compile(m.subpops, m.weights)
+	}
+	m.view = v
+}
+
 // ensureTrained trains lazily so Estimate can be called right after Observe.
 func (m *Model) ensureTrained() error {
-	if m.trained {
+	if m.view != nil {
 		return nil
 	}
 	return m.Train()
 }
 
 // Estimate returns the model's selectivity estimate for a normalized box,
-// clamped to [0,1]. With no trained subpopulations the model is the uniform
-// prior, whose estimate is the box volume (|B|/|B0| with |B0| = 1).
-//
-// The hot path is allocation-free: the query box is clipped into the
-// model's reusable scratch corners and evaluated against the compiled
-// (pruned, pre-divided, SoA) form of the trained mixture.
+// clamped to [0,1], training first if observations are pending. The
+// estimate itself runs on the read view (see View.Estimate).
 func (m *Model) Estimate(box geom.Box) (float64, error) {
 	if box.Dim() != m.cfg.Dim {
 		return 0, fmt.Errorf("core: query box has dim %d, model has %d", box.Dim(), m.cfg.Dim)
@@ -521,48 +527,21 @@ func (m *Model) Estimate(box geom.Box) (float64, error) {
 	if err := m.ensureTrained(); err != nil {
 		return 0, err
 	}
-	// Clip into the unit cube without the two per-call slice allocations.
-	d := m.cfg.Dim
-	box.ClipInto(m.unit, m.qlo, m.qhi)
-	if len(m.subpops) == 0 {
-		// Uniform prior: the estimate is the clipped box volume.
-		v := 1.0
-		for k := 0; k < d; k++ {
-			side := m.qhi[k] - m.qlo[k]
-			if side <= 0 {
-				return 0, nil
-			}
-			v *= side
-		}
-		return v, nil
-	}
-	var est float64
-	if m.compiled != nil {
-		est = m.compiled.estimate(m.qlo, m.qhi)
-	}
-	if est < 0 {
-		est = 0
-	}
-	if est > 1 {
-		est = 1
-	}
-	return est, nil
+	return m.view.Estimate(box)
 }
 
 // EstimateUnion estimates the selectivity of a union of pairwise-disjoint
-// boxes (the lowered form of predicates with disjunctions/negations); by
-// disjointness the estimates are additive.
+// boxes, training first if observations are pending; see
+// View.EstimateUnion. An empty union is 0 and trains nothing.
 func (m *Model) EstimateUnion(boxes []geom.Box) (float64, error) {
-	var est float64
-	for _, b := range boxes {
-		e, err := m.Estimate(b)
-		if err != nil {
-			return 0, err
-		}
-		est += e
+	if len(boxes) == 0 {
+		return 0, nil
 	}
-	if est > 1 {
-		est = 1
+	if boxes[0].Dim() != m.cfg.Dim {
+		return 0, fmt.Errorf("core: query box has dim %d, model has %d", boxes[0].Dim(), m.cfg.Dim)
 	}
-	return est, nil
+	if err := m.ensureTrained(); err != nil {
+		return 0, err
+	}
+	return m.view.EstimateUnion(boxes)
 }

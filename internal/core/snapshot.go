@@ -153,7 +153,7 @@ func (m *Model) Snapshot() *Snapshot {
 		Version:       SnapshotVersion,
 		Config:        configToSnapshot(m.cfg),
 		DefaultPoints: copyPoints(m.defaultPoints),
-		Trained:       m.trained,
+		Trained:       m.view != nil,
 		RngDraws:      m.src.n,
 	}
 	s.Observations = make([]SnapshotObservation, len(m.observations))
@@ -229,8 +229,6 @@ func Restore(s *Snapshot) (*Model, error) {
 		rng:  rand.New(src),
 		src:  src,
 		unit: geom.Unit(cfg.Dim),
-		qlo:  make([]float64, cfg.Dim),
-		qhi:  make([]float64, cfg.Dim),
 	}
 	checkPoint := func(p []float64, what string) error {
 		if len(p) != cfg.Dim {
@@ -310,11 +308,10 @@ func Restore(s *Snapshot) (*Model, error) {
 			m.weights[i] = w
 		}
 	}
-	m.trained = s.Trained
-	// Rebuild the compiled serving form so a restored model estimates on the
-	// same allocation-free fast path as a freshly trained one.
-	if m.trained && len(m.subpops) > 0 {
-		m.compiled = compile(m.subpops, m.weights)
+	// Republish the read view so a restored model estimates on the same
+	// compiled path as a freshly trained one.
+	if s.Trained {
+		m.publish()
 	}
 	return m, nil
 }

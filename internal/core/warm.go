@@ -137,8 +137,7 @@ func (m *Model) trainIncremental() error {
 		}
 	}
 	m.weights = w
-	m.compiled = compile(m.subpops, m.weights)
-	m.trained = true
+	m.publish()
 	m.lastIters = 0
 	m.lastTrainMode = TrainModeIncremental
 	m.warmObs = len(m.observations)
@@ -237,11 +236,8 @@ func (m *Model) Clone() *Model {
 		rng:           rand.New(src),
 		src:           src,
 		unit:          geom.Unit(m.cfg.Dim),
-		qlo:           make([]float64, m.cfg.Dim),
-		qhi:           make([]float64, m.cfg.Dim),
 		defaultPoints: copyPoints(m.defaultPoints),
-		trained:       m.trained,
-		compiled:      m.compiled, // immutable after compile; safe to share
+		view:          m.view, // immutable after publish; safe to share
 		lastIters:     m.lastIters,
 		lastTrainMode: m.lastTrainMode,
 		warmObs:       m.warmObs,

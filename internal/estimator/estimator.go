@@ -12,7 +12,9 @@
 // record, and an estimate is requested for a union of disjoint boxes.
 //
 // Backends are not safe for concurrent use; the public quicksel.Estimator
-// and the server registry serialize access.
+// and the server registry serialize access. The one exception is the read
+// view of a trained QuickSel backend (ReadView), which estimates
+// concurrently with no lock.
 package estimator
 
 import (

@@ -57,6 +57,17 @@ func ModelSnapshot(b Backend) *core.Snapshot {
 	return nil
 }
 
+// ReadView returns the immutable read view of a trained QuickSel backend
+// (see core.View), which may serve estimates concurrently without the
+// backend's lock. It returns nil while a fit is pending and for every other
+// method; those estimate only through Backend.Estimate.
+func ReadView(b Backend) *core.View {
+	if qb, ok := b.(*quickselBackend); ok {
+		return qb.m.View()
+	}
+	return nil
+}
+
 func (b *quickselBackend) Method() string { return QuickSel }
 func (b *quickselBackend) Dim() int       { return b.m.Dim() }
 

@@ -529,15 +529,15 @@ type estimateBatchRequest struct {
 }
 
 // MaxEstimateBatch bounds one batch-estimate request. The whole batch is
-// answered under a single estimator lock acquisition (that is the point —
-// one model generation, amortized locking), so an unbounded batch would let
-// one client stall every other estimate and the background trainer's
+// answered from one model generation; a trained QuickSel model answers it
+// without a lock, but the other methods (and a model with a fit pending)
+// hold the estimator lock for the whole batch, so an unbounded batch would
+// let one client stall every other estimate and the background trainer's
 // snapshot step on that estimator.
 const MaxEstimateBatch = 4096
 
 // handleEstimateBatch serves many estimates in one request, amortizing HTTP
-// and JSON overhead, predicate parsing, and estimator lock acquisition
-// across the batch. Selectivities are returned in input order.
+// and JSON overhead and predicate parsing across the batch. Selectivities are returned in input order.
 func (s *Server) handleEstimateBatch(w http.ResponseWriter, r *http.Request) {
 	name := r.PathValue("name")
 	var req estimateBatchRequest

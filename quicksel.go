@@ -3,6 +3,7 @@ package quicksel
 import (
 	"fmt"
 	"sync"
+	"sync/atomic"
 
 	"quicksel/internal/core"
 	"quicksel/internal/estimator"
@@ -78,6 +79,13 @@ var (
 // bound to a schema. It is safe for concurrent use; Observe and Estimate
 // may be called from multiple goroutines.
 //
+// Once a QuickSel model is trained, estimates take no lock: Estimate,
+// EstimateBatch and their Where variants read an immutable view of the
+// trained model that every training run republishes, so they neither wait
+// for nor block Observe, Train or Snapshot. They fall back to the locked
+// path — and pay the lazy fit — only while observations are pending, and
+// always for the other methods.
+//
 // An Estimator is backed by one of six interchangeable estimation methods
 // (see WithMethod): QuickSel's mixture model by default, or one of the
 // paper's baselines. All methods share the same feedback/estimate/snapshot
@@ -90,6 +98,12 @@ type Estimator struct {
 	mu      sync.Mutex
 	schema  *Schema
 	backend estimator.Backend
+
+	// view is the backend's immutable read view (estimator.ReadView),
+	// republished at the end of every mu section that changes the backend;
+	// nil while a fit is pending and for methods without one. Estimates
+	// that load a non-nil view answer from it without taking mu.
+	view atomic.Pointer[core.View]
 
 	// life is the lifecycle configuration exactly as the caller specified it
 	// (zero fields unset); the serving registry layers it over its own
@@ -204,6 +218,7 @@ func (e *Estimator) Observe(p *Predicate, trueSelectivity float64) error {
 // write-ahead-log replay run through it, which is what keeps a replayed
 // estimator bit-identical to the live one.
 func (e *Estimator) ingestLocked(boxes []geom.Box, trueSelectivity float64) error {
+	defer e.publishLocked()
 	if e.tracker != nil && !estimator.FitPending(e.backend) {
 		if est, err := e.backend.Estimate(boxes); err == nil {
 			e.tracker.Add(est, trueSelectivity)
@@ -232,6 +247,10 @@ func (e *Estimator) ingestLocked(boxes []geom.Box, trueSelectivity float64) erro
 	}
 }
 
+// publishLocked republishes the backend's read view after a change to the
+// backend; the caller holds e.mu.
+func (e *Estimator) publishLocked() { e.view.Store(estimator.ReadView(e.backend)) }
+
 // Train fits the model to all observations so far (for methods with a
 // fitting step; for others it forces a statistics refresh). Estimate trains
 // lazily, so calling Train is optional; it exists to let callers schedule
@@ -239,6 +258,7 @@ func (e *Estimator) ingestLocked(boxes []geom.Box, trueSelectivity float64) erro
 func (e *Estimator) Train() error {
 	e.mu.Lock()
 	defer e.mu.Unlock()
+	defer e.publishLocked()
 	return e.backend.Train()
 }
 
@@ -267,30 +287,39 @@ func (e *Estimator) CloneForTraining() (*Estimator, error) {
 	if err != nil {
 		return nil, fmt.Errorf("quicksel: clone: %w", err)
 	}
-	return &Estimator{
+	c := &Estimator{
 		schema:  e.schema,
 		backend: b,
 		life:    e.life,
 		walSeq:  e.walSeq,
-	}, nil
+	}
+	c.publishLocked() // c is not shared yet
+	return c, nil
 }
 
 // Estimate returns the estimated selectivity of the predicate, in [0, 1].
+// A trained QuickSel model answers from its read view without taking the
+// estimator lock; otherwise the estimate runs under the lock and fits
+// lazily first if observations are pending.
 func (e *Estimator) Estimate(p *Predicate) (float64, error) {
 	boxes, err := p.Boxes(e.schema)
 	if err != nil {
 		return 0, fmt.Errorf("quicksel: estimate: %w", err)
 	}
+	if v := e.view.Load(); v != nil {
+		return v.EstimateUnion(boxes)
+	}
 	e.mu.Lock()
 	defer e.mu.Unlock()
+	defer e.publishLocked() // the estimate may have fitted lazily
 	return e.backend.Estimate(boxes)
 }
 
 // EstimateBatch returns the estimated selectivity of each predicate, in
-// input order. All predicates are lowered to boxes before the estimator
-// lock is taken, and the lock is then acquired once for the whole batch, so
-// a large batch costs one lock acquisition instead of one per predicate. A
-// lowering error fails the whole batch and names the offending index.
+// input order. All predicates are lowered to boxes first; the whole batch
+// is then answered from one read view with no lock (as in Estimate), or
+// else under a single acquisition of the estimator lock. A lowering error
+// fails the whole batch and names the offending index.
 func (e *Estimator) EstimateBatch(preds []*Predicate) ([]float64, error) {
 	lowered := make([][]geom.Box, len(preds))
 	for i, p := range preds {
@@ -300,11 +329,21 @@ func (e *Estimator) EstimateBatch(preds []*Predicate) ([]float64, error) {
 		}
 		lowered[i] = boxes
 	}
-	e.mu.Lock()
-	defer e.mu.Unlock()
+	v := e.view.Load()
+	if v == nil {
+		e.mu.Lock()
+		defer e.mu.Unlock()
+		defer e.publishLocked() // the first estimate may fit lazily
+	}
 	out := make([]float64, len(preds))
 	for i, boxes := range lowered {
-		sel, err := e.backend.Estimate(boxes)
+		var sel float64
+		var err error
+		if v != nil {
+			sel, err = v.EstimateUnion(boxes)
+		} else {
+			sel, err = e.backend.Estimate(boxes)
+		}
 		if err != nil {
 			return nil, fmt.Errorf("quicksel: estimate %d: %w", i, err)
 		}
@@ -314,7 +353,7 @@ func (e *Estimator) EstimateBatch(preds []*Predicate) ([]float64, error) {
 }
 
 // EstimateBatchWhere is EstimateBatch with parsed WHERE clauses: parsing and
-// lowering are amortized outside the estimator lock.
+// lowering happen before the batch reads the model.
 func (e *Estimator) EstimateBatchWhere(wheres []string) ([]float64, error) {
 	preds := make([]*Predicate, len(wheres))
 	for i, w := range wheres {

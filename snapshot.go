@@ -167,6 +167,7 @@ func restore(s *Snapshot, track bool, opts []Option) (*Estimator, error) {
 		return nil, fmt.Errorf("quicksel: snapshot lifecycle: %w", err)
 	}
 	e := &Estimator{schema: schema, backend: backend, life: lcfg, walSeq: s.WalSeq}
+	e.publishLocked() // e is not shared yet
 	if track {
 		e.tracker = lifecycle.RestoreTracker(lcfg, tstate)
 	}
