@@ -5,8 +5,9 @@
 #   1. ARCHITECTURE.md mentions every package under internal/ — adding a
 #      package without placing it on the map is a CI failure.
 #   2. docs/API.md mentions every HTTP route registered in
-#      internal/server/http.go — adding or renaming an endpoint without
-#      documenting it is a CI failure.
+#      internal/server/http.go and every route cmd/quickselrouter/router.go
+#      registers by hand — adding or renaming an endpoint of either daemon
+#      without documenting it is a CI failure.
 #
 # Run from the repository root: ./ci/check_docs.sh
 set -u
@@ -32,12 +33,22 @@ for dir in internal/*/; do
 done
 
 # 2. Every registered route appears in docs/API.md. Routes are the
-# 'METHOD /path' strings handed to mux.HandleFunc in internal/server/http.go.
-routes=$(grep -ohE '"(GET|POST|PUT|DELETE|PATCH) [^" ]+"' internal/server/http.go | tr -d '"' | sort -u)
+# 'METHOD /path' strings of quickseld's route table (and its hand-added
+# mux.HandleFunc calls) in internal/server/http.go, plus the
+# HandleFunc("METHOD /path" literals of cmd/quickselrouter/router.go; the
+# router's other routes come from quickseld's table.
+method='(GET|POST|PUT|DELETE|PATCH)'
+routes=$(grep -ohE "\"$method [^\" ]+\"" internal/server/http.go | tr -d '"' | sort -u)
 if [ -z "$routes" ]; then
     echo "ci/check_docs.sh: found no registered routes in internal/server (pattern drift?)" >&2
     fail=1
 fi
+router_routes=$(grep -ohE "HandleFunc\(\"$method [^\" ]+\"" cmd/quickselrouter/router.go | sed -E 's/^HandleFunc\("//; s/"$//' | sort -u)
+if [ -z "$router_routes" ]; then
+    echo "ci/check_docs.sh: found no hand-registered routes in cmd/quickselrouter (pattern drift?)" >&2
+    fail=1
+fi
+routes=$(printf '%s\n%s\n' "$routes" "$router_routes" | sort -u)
 while IFS= read -r route; do
     path=${route#* }
     if ! grep -qF "$path" docs/API.md; then

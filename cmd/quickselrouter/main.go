@@ -29,8 +29,8 @@
 //	POST   /v1/{name}/observe        observe, routed to the owner's primary
 //	GET    /v1/{name}/estimate       estimate (follower-balanced when enabled)
 //	POST   /v1/{name}/estimate/batch single-estimator batch (same read policy)
-//	POST   /v1/estimate/batch        multi-estimator batch, split by ring
-//	                                 owner, fanned out, merged in input order
+//	POST   /v1/estimate/batch        multi-estimator batch: one sub-batch per
+//	                                 owning shard, merged in input order
 //	POST   /v1/{name}/train          train, routed to the owner's primary
 //	GET    /v1/{name}/versions       versions (same read policy)
 //	POST   /v1/{name}/rollback       rollback, routed to the owner's primary
@@ -171,7 +171,7 @@ func main() {
 
 	router := newRouter(tracker, routerConfig{
 		readFromFollowers: *readFromFollowers,
-		client:            &http.Client{Timeout: *proxyTimeout},
+		client:            newProxyClient(*proxyTimeout),
 		log:               logger,
 		traceSample:       *traceSample,
 		traceRingSize:     *traceRing,

@@ -28,6 +28,25 @@ import (
 // failover instead of riding through it.
 const maxRetryAfter = 200 * time.Millisecond
 
+// proxyIdleConnsPerHost sizes the proxy client's idle-connection pool per
+// shard node. An in-flight client request holds at most one connection per
+// node (a cluster batch sends each shard one sub-batch), so the pool covers
+// that many concurrent client requests without dialing; net/http's default
+// of 2 made every concurrent request past the second dial, and then close,
+// a fresh connection.
+const proxyIdleConnsPerHost = 128
+
+// newProxyClient returns the client the router proxies through: its own
+// transport, so the proxy's connection pool is sized for the fan-out and
+// not shared with the health tracker's polls, and timeout bounds each
+// attempt.
+func newProxyClient(timeout time.Duration) *http.Client {
+	tr := http.DefaultTransport.(*http.Transport).Clone()
+	tr.MaxIdleConns = 0 // no global cap: nodes × proxyIdleConnsPerHost bounds it
+	tr.MaxIdleConnsPerHost = proxyIdleConnsPerHost
+	return &http.Client{Timeout: timeout, Transport: tr}
+}
+
 // Router is the cluster front door: it owns the placement ring and health
 // tracker, proxies the /v1 surface to the owning shard, and serves the
 // cluster-level endpoints (/v1/cluster/status, /metrics, /readyz).
@@ -45,7 +64,8 @@ const maxRetryAfter = 200 * time.Millisecond
 //     bound. Followers do not train, so a follower-served read — versions
 //     and accuracy included — describes that follower's serving model.
 //   - List fans out to every shard and merges; snapshot fans out to every
-//     primary.
+//     primary; the multi-estimator batch sends each owning shard one
+//     sub-batch under the read policy and merges by index.
 type Router struct {
 	tracker  *cluster.Tracker
 	client   *http.Client
@@ -130,10 +150,11 @@ func newRouter(tracker *cluster.Tracker, cfg routerConfig) *Router {
 	// Operational routes (replication, telemetry) are per-node and not
 	// proxied; any other route without a handler fails the boot.
 	clusterWide := map[string]http.HandlerFunc{
-		"create":   rt.handleCreate,
-		"list":     rt.handleList,
-		"snapshot": rt.handleSnapshotFanout,
-		"metrics":  rt.handleMetrics,
+		"create":         rt.handleCreate,
+		"list":           rt.handleList,
+		"estimate_multi": rt.handleClusterBatch,
+		"snapshot":       rt.handleSnapshotFanout,
+		"metrics":        rt.handleMetrics,
 	}
 	// Lifecycle reads a follower may answer but the router keeps on the
 	// primary: followers never train, so their versions and accuracy lag
@@ -149,7 +170,6 @@ func newRouter(tracker *cluster.Tracker, cfg routerConfig) *Router {
 			panic("quickselrouter: no routing for quickseld route " + route.Pattern)
 		}
 	}
-	m.HandleFunc("POST /v1/estimate/batch", rt.handleClusterBatch)
 	m.HandleFunc("GET /v1/cluster/status", rt.handleClusterStatus)
 	m.HandleFunc("GET /v1/cluster/telemetry", rt.handleClusterTelemetry)
 	m.HandleFunc("GET /healthz", func(w http.ResponseWriter, _ *http.Request) {
@@ -552,139 +572,119 @@ func truncate(b []byte) string {
 	return s
 }
 
-// clusterBatchRequest is the router-level POST /v1/estimate/batch body:
-// estimates spanning many estimators — and thus many shards — in one call.
-type clusterBatchRequest struct {
-	Queries []clusterBatchQuery `json:"queries"`
-}
-
-type clusterBatchQuery struct {
-	Estimator string `json:"estimator"`
-	Where     string `json:"where"`
-}
-
-// handleClusterBatch splits a multi-estimator batch by ring owner, fans the
-// per-estimator sub-batches out to their shards concurrently (read policy,
-// so follower balancing applies), and merges the selectivities back into
-// input order.
+// handleClusterBatch serves POST /v1/estimate/batch across the cluster: it
+// groups the queries by ring owner, sends each shard one sub-batch in the
+// same {"queries":[…]} form through exchange (read policy, so follower
+// balancing and the 503 retry apply), and merges the selectivities back
+// into input order. Upstream exchanges per batch equal the number of
+// distinct owning shards. A shard's 4xx (bad clause, unknown estimator,
+// oversized batch) reaches the client unchanged; a transport failure or a
+// 5xx answers 502.
 func (rt *Router) handleClusterBatch(w http.ResponseWriter, r *http.Request) {
 	reqID := requestID(r)
-	var req clusterBatchRequest
+	var req server.MultiEstimateRequest
 	if err := json.NewDecoder(r.Body).Decode(&req); err != nil {
-		rt.writeJSON(w, http.StatusBadRequest, errorBody{Error: fmt.Sprintf("decode request: %v", err)})
-		return
-	}
-	if len(req.Queries) == 0 {
-		rt.writeJSON(w, http.StatusBadRequest, errorBody{Error: "request needs a non-empty queries array"})
-		return
-	}
-	if len(req.Queries) > server.MaxEstimateBatch {
-		rt.writeJSON(w, http.StatusBadRequest, errorBody{Error: fmt.Sprintf(
-			"batch of %d exceeds the %d-query limit; split the request", len(req.Queries), server.MaxEstimateBatch)})
-		return
-	}
-	for i, q := range req.Queries {
-		if q.Estimator == "" || q.Where == "" {
-			rt.writeJSON(w, http.StatusBadRequest, errorBody{Error: fmt.Sprintf(
-				"query %d: estimator and where are both required", i)})
-			return
+		status := http.StatusBadRequest
+		var mb *http.MaxBytesError
+		if errors.As(err, &mb) {
+			status = http.StatusRequestEntityTooLarge // as quickseld answers it
 		}
+		rt.writeJSON(w, status, errorBody{Error: fmt.Sprintf("decode request: %v", err)})
+		return
+	}
+	if err := server.CheckEstimateQueries(req.Queries); err != nil {
+		rt.writeJSON(w, http.StatusBadRequest, errorBody{Error: err.Error()})
+		return
 	}
 
-	// Group by estimator: each group is one sub-batch to the owning shard's
-	// per-estimator batch endpoint, with the original indices remembered so
+	// One part per owning shard, remembering each query's input index so
 	// the merge restores input order.
-	type group struct {
-		estimator string
-		indices   []int
-		wheres    []string
+	type part struct {
+		shard   string
+		indices []int
+		queries []server.EstimateQuery
+		res     *proxyResult
+		err     error
 	}
-	byEst := make(map[string]*group)
-	order := make([]*group, 0, 8)
+	byShard := make(map[string]*part)
+	var parts []*part
 	for i, q := range req.Queries {
-		g := byEst[q.Estimator]
-		if g == nil {
-			g = &group{estimator: q.Estimator}
-			byEst[q.Estimator] = g
-			order = append(order, g)
+		shard := rt.tracker.Owner(q.Estimator)
+		p := byShard[shard]
+		if p == nil {
+			p = &part{shard: shard}
+			byShard[shard] = p
+			parts = append(parts, p)
 		}
-		g.indices = append(g.indices, i)
-		g.wheres = append(g.wheres, q.Where)
+		p.indices = append(p.indices, i)
+		p.queries = append(p.queries, q)
 	}
-
-	sels := make([]float64, len(req.Queries))
-	errs := make([]error, len(order))
 	var wg sync.WaitGroup
-	for gi, g := range order {
+	for _, p := range parts {
 		wg.Add(1)
-		go func(gi int, g *group) {
+		go func() {
 			defer wg.Done()
-			shard := rt.tracker.Owner(g.estimator)
-			subBody, _ := json.Marshal(map[string]any{"wheres": g.wheres})
-			subSels, err := rt.estimateSubBatch(r, shard, g.estimator, reqID, subBody)
-			if err != nil {
-				errs[gi] = fmt.Errorf("estimator %s (shard %s): %w", g.estimator, shard, err)
-				return
-			}
-			if len(subSels) != len(g.indices) {
-				errs[gi] = fmt.Errorf("estimator %s: %d selectivities for %d queries", g.estimator, len(subSels), len(g.indices))
-				return
-			}
-			for k, idx := range g.indices {
-				sels[idx] = subSels[k]
-			}
-		}(gi, g)
+			body, _ := json.Marshal(server.MultiEstimateRequest{Queries: p.queries})
+			p.res, p.err = rt.estimateShard(r, p.shard, reqID, body)
+		}()
 	}
 	wg.Wait()
-	for _, err := range errs {
-		if err != nil {
-			status := http.StatusBadGateway
-			if strings.Contains(err.Error(), "status 404") {
-				status = http.StatusNotFound
-			}
-			rt.reqErrors.Add(1)
-			rt.writeJSON(w, status, errorBody{Error: err.Error()})
+
+	sels := make([]float64, len(req.Queries))
+	for _, p := range parts {
+		if errors.Is(p.err, errClientGone) {
+			return // nobody to answer, and not a shard or router failure
+		}
+		if p.res != nil && p.res.status >= 400 && p.res.status < 500 {
+			rt.replyWith(w, p.res, reqID, false)
 			return
+		}
+		var out struct {
+			Selectivities []float64 `json:"selectivities"`
+		}
+		err := p.err
+		switch {
+		case err != nil:
+		case p.res.status != http.StatusOK:
+			err = fmt.Errorf("status %d: %s", p.res.status, truncate(p.res.body))
+		default:
+			if derr := json.Unmarshal(p.res.body, &out); derr != nil {
+				err = fmt.Errorf("decode shard response: %w", derr)
+			} else if len(out.Selectivities) != len(p.indices) {
+				err = fmt.Errorf("%d selectivities for %d queries", len(out.Selectivities), len(p.indices))
+			}
+		}
+		if err != nil {
+			rt.reqErrors.Add(1)
+			rt.writeJSON(w, http.StatusBadGateway, errorBody{Error: fmt.Sprintf("shard %s: %v", p.shard, err)})
+			return
+		}
+		for k, i := range p.indices {
+			sels[i] = out.Selectivities[k]
 		}
 	}
 	w.Header().Set("X-Request-Id", reqID)
 	rt.writeJSON(w, http.StatusOK, map[string]any{"selectivities": sels})
 }
 
-// estimateSubBatch sends one per-estimator sub-batch to its shard under the
-// read policy, through the same exchange the general proxy uses.
-func (rt *Router) estimateSubBatch(r *http.Request, shard, estimator, reqID string, body []byte) ([]float64, error) {
+// estimateShard sends one shard its part of a cluster batch under the read
+// policy, through the same exchange the general proxy uses, and keeps the
+// shard's serving metrics. The answer is nil when no attempt got one.
+func (rt *Router) estimateShard(r *http.Request, shard, reqID string, body []byte) (*proxyResult, error) {
 	sm := rt.shards[shard]
 	start := time.Now()
 	defer func() { sm.latency.Observe(time.Since(start)) }()
 	sm.requests.Add(1)
-
-	sub, err := http.NewRequestWithContext(r.Context(), http.MethodPost, "/v1/"+estimator+"/estimate/batch", nil)
-	if err != nil {
+	// No stage marks: parts run concurrently under one root span.
+	res, followerRead, err := rt.exchange(r, shard, true, reqID, body, nil)
+	switch {
+	case errors.Is(err, errClientGone):
+	case res == nil || res.status >= 500:
 		sm.errors.Add(1)
-		return nil, err
-	}
-	sub.Header.Set("Content-Type", "application/json")
-	// No stage marks: sub-batches run concurrently under one root span.
-	res, followerRead, err := rt.exchange(sub, shard, true, reqID, body, nil)
-	if res == nil {
-		sm.errors.Add(1)
-		return nil, err
-	}
-	if res.status != http.StatusOK {
-		sm.errors.Add(1)
-		return nil, fmt.Errorf("status %d: %s", res.status, truncate(res.body))
-	}
-	if followerRead {
+	case res.status == http.StatusOK && followerRead:
 		rt.followerReads.Add(1)
 	}
-	var out struct {
-		Selectivities []float64 `json:"selectivities"`
-	}
-	if err := json.Unmarshal(res.body, &out); err != nil {
-		return nil, fmt.Errorf("decode shard response: %w", err)
-	}
-	return out.Selectivities, nil
+	return res, err
 }
 
 // handleSnapshotFanout forwards POST /v1/snapshot to every shard's primary;

@@ -5,16 +5,19 @@ import (
 	"encoding/json"
 	"fmt"
 	"io"
+	"net"
 	"net/http"
 	"net/http/httptest"
 	"strings"
 	"sync"
+	"sync/atomic"
 	"testing"
 	"time"
 
 	"quicksel/internal/cluster"
 	"quicksel/internal/obs"
 	"quicksel/internal/replica"
+	"quicksel/internal/server"
 )
 
 // fakeShard is a scriptable stand-in for one quickseld node: it answers the
@@ -120,6 +123,14 @@ func newFakeShard(t *testing.T, role string) *fakeShard {
 				out[i] = est{Name: e}
 			}
 			json.NewEncoder(w).Encode(map[string]any{"estimators": out})
+		case r.URL.Path == "/v1/estimate/batch":
+			var req server.MultiEstimateRequest
+			json.Unmarshal(body, &req)
+			out := make([]float64, len(req.Queries))
+			for i, q := range req.Queries {
+				out[i] = sels[q.Where]
+			}
+			json.NewEncoder(w).Encode(map[string]any{"selectivities": out})
 		case strings.HasSuffix(r.URL.Path, "/estimate/batch"):
 			var req struct {
 				Wheres []string `json:"wheres"`
@@ -356,43 +367,36 @@ func TestRouterListMerges(t *testing.T) {
 	}
 }
 
-// TestRouterClusterBatch: the multi-estimator batch is split by ring owner,
-// fanned out, and merged back into input order.
+// TestRouterClusterBatch: the multi-estimator batch is grouped by ring
+// owner, sent as one sub-batch per shard, and merged back into input order.
 func TestRouterClusterBatch(t *testing.T) {
 	a, b := newFakeShard(t, "primary"), newFakeShard(t, "primary")
 	rt, srv := testRouter(t, map[string][]*fakeShard{"s0": {a}, "s1": {b}}, false, false)
 
-	// Pick one estimator owned by each shard so the batch genuinely spans
-	// both, then interleave their queries.
-	estA, estB := "", ""
-	for i := 0; estA == "" || estB == ""; i++ {
+	// Pick three estimators owned by each shard so the batch genuinely
+	// spans both and each shard's part spans several estimators, then
+	// interleave their queries.
+	var ests [2][]string
+	for i := 0; len(ests[0]) < 3 || len(ests[1]) < 3; i++ {
 		name := fmt.Sprintf("est%03d", i)
-		if rt.tracker.Owner(name) == "s0" && estA == "" {
-			estA = name
-		} else if rt.tracker.Owner(name) == "s1" && estB == "" {
-			estB = name
+		if k := map[string]int{"s0": 0, "s1": 1}[rt.tracker.Owner(name)]; len(ests[k]) < 3 {
+			ests[k] = append(ests[k], name)
 		}
 	}
-	fakeFor := func(est string) *fakeShard {
-		if rt.tracker.Owner(est) == "s0" {
-			return a
-		}
-		return b
-	}
-	queries := make([]map[string]string, 6)
-	wantSels := make([]float64, 6)
+	fakes := [2]*fakeShard{a, b}
+	queries := make([]server.EstimateQuery, 12)
+	wantSels := make([]float64, len(queries))
+	wantParts := [2][]server.EstimateQuery{}
 	for i := range queries {
-		est := estA
-		if i%2 == 1 {
-			est = estB
-		}
+		k := i % 2
 		where := fmt.Sprintf("col > %d", i)
-		sel := float64(i+1) / 10
-		fakeFor(est).sels[where] = sel
-		queries[i] = map[string]string{"estimator": est, "where": where}
+		sel := float64(i+1) / 100
+		fakes[k].sels[where] = sel
+		queries[i] = server.EstimateQuery{Estimator: ests[k][(i/2)%3], Where: where}
 		wantSels[i] = sel
+		wantParts[k] = append(wantParts[k], queries[i])
 	}
-	reqBody, _ := json.Marshal(map[string]any{"queries": queries})
+	reqBody, _ := json.Marshal(server.MultiEstimateRequest{Queries: queries})
 	status, body, _ := doReq(t, "POST", srv.URL+"/v1/estimate/batch", string(reqBody), nil)
 	if status != http.StatusOK {
 		t.Fatalf("cluster batch status %d: %s", status, body)
@@ -406,15 +410,32 @@ func TestRouterClusterBatch(t *testing.T) {
 	if fmt.Sprint(out.Selectivities) != fmt.Sprint(wantSels) {
 		t.Fatalf("selectivities = %v, want %v (input order)", out.Selectivities, wantSels)
 	}
-	// Each shard saw exactly one sub-batch, addressed to its estimator.
-	for _, f := range []*fakeShard{a, b} {
+	// One upstream exchange per owning shard, carrying that shard's
+	// queries in input order.
+	for k, f := range fakes {
 		reqs := f.requests()
-		if len(reqs) != 1 || !strings.HasSuffix(reqs[0].path, "/estimate/batch") {
-			t.Fatalf("sub-batch fan-out wrong: %+v", reqs)
+		if len(reqs) != 1 || reqs[0].path != "/v1/estimate/batch" {
+			t.Fatalf("shard %d: want one sub-batch on /v1/estimate/batch, got %+v", k, reqs)
+		}
+		var part server.MultiEstimateRequest
+		if err := json.Unmarshal([]byte(reqs[0].body), &part); err != nil {
+			t.Fatal(err)
+		}
+		if fmt.Sprint(part.Queries) != fmt.Sprint(wantParts[k]) {
+			t.Fatalf("shard %d sub-batch = %v, want %v", k, part.Queries, wantParts[k])
 		}
 	}
 
-	// Validation: empty and oversized batches are rejected up front.
+	// A batch owned by one shard makes one exchange.
+	one, _ := json.Marshal(server.MultiEstimateRequest{Queries: []server.EstimateQuery{
+		{Estimator: ests[1][0], Where: "col > 1"}, {Estimator: ests[1][1], Where: "col > 3"}}})
+	status, body, _ = doReq(t, "POST", srv.URL+"/v1/estimate/batch", string(one), nil)
+	if status != http.StatusOK || a.count() != 1 || b.count() != 2 {
+		t.Fatalf("single-shard batch: status %d (%s), exchanges s0=%d s1=%d, want 200 and 1/2", status, body, a.count(), b.count())
+	}
+
+	// Validation: empty, incomplete and over-limit batches are rejected up
+	// front.
 	status, _, _ = doReq(t, "POST", srv.URL+"/v1/estimate/batch", `{"queries":[]}`, nil)
 	if status != http.StatusBadRequest {
 		t.Fatalf("empty batch status %d, want 400", status)
@@ -423,6 +444,99 @@ func TestRouterClusterBatch(t *testing.T) {
 		`{"queries":[{"estimator":"x"}]}`, nil)
 	if status != http.StatusBadRequest {
 		t.Fatalf("missing-where batch status %d, want 400", status)
+	}
+	huge := `{"queries":[` + strings.Repeat(`{"estimator":"x","where":"col > 1"},`, server.MaxRequestBytes/30) + `]}`
+	status, _, _ = doReq(t, "POST", srv.URL+"/v1/estimate/batch", huge, nil)
+	if status != http.StatusRequestEntityTooLarge {
+		t.Fatalf("over-limit batch status %d, want 413", status)
+	}
+	if a.count() != 1 || b.count() != 2 {
+		t.Fatal("a rejected batch reached a shard")
+	}
+}
+
+// TestRouterClusterBatchUnreachableShard: a part whose shard cannot be
+// reached answers 502 and counts as a router and shard error.
+func TestRouterClusterBatchUnreachableShard(t *testing.T) {
+	a, b := newFakeShard(t, "primary"), newFakeShard(t, "primary")
+	rt, srv := testRouter(t, map[string][]*fakeShard{"s0": {a}, "s1": {b}}, false, false)
+	b.srv.Close()
+	var queries []server.EstimateQuery
+	for i := 0; len(queries) < 8; i++ {
+		queries = append(queries, server.EstimateQuery{Estimator: fmt.Sprintf("est%03d", i), Where: "col > 1"})
+	}
+	reqBody, _ := json.Marshal(server.MultiEstimateRequest{Queries: queries})
+	status, body, _ := doReq(t, "POST", srv.URL+"/v1/estimate/batch", string(reqBody), nil)
+	if status != http.StatusBadGateway {
+		t.Fatalf("status %d (%s), want 502", status, body)
+	}
+	if rt.reqErrors.Load() != 1 || rt.shards["s1"].errors.Load() != 1 || rt.shards["s0"].errors.Load() != 0 {
+		t.Fatalf("errors: router %d, s0 %d, s1 %d; want 1, 0, 1",
+			rt.reqErrors.Load(), rt.shards["s0"].errors.Load(), rt.shards["s1"].errors.Load())
+	}
+}
+
+// TestRouterProxyReusesConnections: the proxy client keeps enough idle
+// connections per shard node that concurrent proxied requests reuse them
+// instead of dialing anew each round (net/http's default pool of 2 opens
+// about 60 connections here).
+func TestRouterProxyReusesConnections(t *testing.T) {
+	const concurrent, rounds = 8, 10
+	var dials atomic.Int64
+	// A cyclic barrier: the shard answers a round's requests only once all
+	// of them have arrived, so every round really holds concurrent
+	// connections at once and no request can free one early for another
+	// still dialing.
+	var mu sync.Mutex
+	arrived, gate := 0, make(chan struct{})
+	shard := httptest.NewUnstartedServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+		mu.Lock()
+		g := gate
+		if arrived++; arrived == concurrent {
+			close(gate)
+			arrived, gate = 0, make(chan struct{})
+		}
+		mu.Unlock()
+		<-g
+		w.Header().Set("Content-Type", "application/json")
+		fmt.Fprintln(w, `{"selectivity": 0.5}`)
+	}))
+	shard.Config.ConnState = func(_ net.Conn, s http.ConnState) {
+		if s == http.StateNew {
+			dials.Add(1)
+		}
+	}
+	shard.Start()
+	t.Cleanup(shard.Close)
+	m, err := cluster.BuildMap([]cluster.Shard{{ID: "s0", Nodes: []cluster.Node{{URL: shard.URL}}}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	tracker, err := cluster.NewTracker(m, cluster.TrackerConfig{Logger: obs.Discard()})
+	if err != nil {
+		t.Fatal(err)
+	}
+	client := newProxyClient(5 * time.Second)
+	t.Cleanup(client.CloseIdleConnections)
+	rt := newRouter(tracker, routerConfig{client: client, log: obs.Discard()})
+
+	for round := range rounds {
+		var wg sync.WaitGroup
+		for range concurrent {
+			wg.Add(1)
+			go func() {
+				defer wg.Done()
+				rec := httptest.NewRecorder()
+				rt.ServeHTTP(rec, httptest.NewRequest("GET", "/v1/people/estimate?where=a+%3E+1", nil))
+				if rec.Code != http.StatusOK {
+					t.Errorf("round %d: status %d: %s", round, rec.Code, rec.Body)
+				}
+			}()
+		}
+		wg.Wait()
+	}
+	if n := dials.Load(); n > concurrent {
+		t.Fatalf("%d new shard connections for %d rounds of %d concurrent estimates, want at most %d", n, rounds, concurrent, concurrent)
 	}
 }
 

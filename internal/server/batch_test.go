@@ -3,6 +3,7 @@ package server
 import (
 	"encoding/json"
 	"fmt"
+	"math"
 	"net/http"
 	"strings"
 	"sync"
@@ -181,4 +182,104 @@ func metricsBody(t *testing.T, base string) string {
 	status, body := doJSON(t, "GET", base+"/metrics", "")
 	mustStatus(t, http.StatusOK, status, body)
 	return string(body)
+}
+
+// TestEstimateMultiMatchesPerEstimatorBatch: the multi-estimator batch
+// answers each query bit-identically to that estimator's own batch, in
+// input order, and counts one estimate_multi request.
+func TestEstimateMultiMatchesPerEstimatorBatch(t *testing.T) {
+	srv, ts := newTestServer(t, Config{TrainInterval: time.Hour})
+	defer srv.Close()
+	for i, name := range []string{"people", "staff"} {
+		status, body := doJSON(t, "POST", ts.URL+"/v1/estimators",
+			fmt.Sprintf(`{"name": %q, "schema": %s, "options": {"seed": 42}}`, name, peopleSchema))
+		mustStatus(t, http.StatusCreated, status, body)
+		status, body = doJSON(t, "POST", ts.URL+"/v1/"+name+"/observe",
+			fmt.Sprintf(`{"where": "age BETWEEN 20 AND 39", "selectivity": 0.%d}`, 3+i))
+		mustStatus(t, http.StatusAccepted, status, body)
+		status, body = doJSON(t, "POST", ts.URL+"/v1/"+name+"/train", "{}")
+		mustStatus(t, http.StatusOK, status, body)
+	}
+	wheres := []string{"age BETWEEN 20 AND 39", "salary >= 100000", "age >= 60 AND salary < 50000", "age < 25"}
+	var queries []EstimateQuery
+	for i, where := range wheres {
+		queries = append(queries, EstimateQuery{Estimator: "staff", Where: where}, EstimateQuery{Estimator: "people", Where: wheres[len(wheres)-1-i]})
+	}
+	body, _ := json.Marshal(MultiEstimateRequest{Queries: queries})
+	status, resp := doJSON(t, "POST", ts.URL+"/v1/estimate/batch", string(body))
+	mustStatus(t, http.StatusOK, status, resp)
+	var out struct {
+		Selectivities []float64 `json:"selectivities"`
+	}
+	if err := json.Unmarshal(resp, &out); err != nil {
+		t.Fatal(err)
+	}
+	if len(out.Selectivities) != len(queries) {
+		t.Fatalf("%d selectivities for %d queries", len(out.Selectivities), len(queries))
+	}
+	for i, q := range queries {
+		want := estimateBatch(t, ts.URL, q.Estimator, []string{q.Where})[0]
+		if math.Float64bits(out.Selectivities[i]) != math.Float64bits(want) {
+			t.Errorf("query %d (%s: %q) = %v, own batch = %v", i, q.Estimator, q.Where, out.Selectivities[i], want)
+		}
+	}
+	if !strings.Contains(metricsBody(t, ts.URL), "quickseld_requests_total{route=\"estimate_multi\"} 1\n") {
+		t.Error("estimate_multi not counted once")
+	}
+}
+
+func TestEstimateMultiErrors(t *testing.T) {
+	srv, ts := newTestServer(t, Config{TrainInterval: time.Hour})
+	defer srv.Close()
+	createPeople(t, ts.URL)
+
+	for _, tc := range []struct {
+		name, body string
+		status     int
+	}{
+		{"empty body", `{}`, http.StatusBadRequest},
+		{"empty queries", `{"queries": []}`, http.StatusBadRequest},
+		{"missing where", `{"queries": [{"estimator": "people"}]}`, http.StatusBadRequest},
+		{"missing estimator", `{"queries": [{"where": "age >= 20"}]}`, http.StatusBadRequest},
+		{"bad clause", `{"queries": [{"estimator": "people", "where": "age >= 20"}, {"estimator": "people", "where": "no_such_column = 1"}]}`, http.StatusBadRequest},
+		{"unknown estimator", `{"queries": [{"estimator": "people", "where": "age >= 20"}, {"estimator": "nobody", "where": "age >= 20"}]}`, http.StatusNotFound},
+		{"bad json", `{"queries": [`, http.StatusBadRequest},
+		{"oversized batch", fmt.Sprintf(`{"queries": [%s{"estimator": "people", "where": "age >= 20"}]}`,
+			strings.Repeat(`{"estimator": "people", "where": "age >= 20"}, `, MaxEstimateBatch)), http.StatusBadRequest},
+	} {
+		status, body := doJSON(t, "POST", ts.URL+"/v1/estimate/batch", tc.body)
+		if status != tc.status {
+			t.Errorf("%s: status = %d, want %d; body: %s", tc.name, status, tc.status, body)
+		}
+	}
+}
+
+// TestEstimateAnswersCompact: the estimate answers are compact JSON with the
+// same field names and values a sorted-key map encoding gives.
+func TestEstimateAnswersCompact(t *testing.T) {
+	srv, ts := newTestServer(t, Config{TrainInterval: time.Hour})
+	defer srv.Close()
+	createPeople(t, ts.URL)
+	where := "age >= 40"
+	sel := estimate(t, ts.URL, "people", where)
+	sels := estimateBatch(t, ts.URL, "people", []string{where})
+
+	for _, tc := range []struct {
+		method, path, body string
+		want               map[string]any
+	}{
+		{"GET", "/v1/people/estimate?where=age+%3E%3D+40", "",
+			map[string]any{"estimator": "people", "where": where, "selectivity": sel}},
+		{"POST", "/v1/people/estimate/batch", `{"wheres": ["age >= 40"]}`,
+			map[string]any{"estimator": "people", "selectivities": sels}},
+		{"POST", "/v1/estimate/batch", `{"queries": [{"estimator": "people", "where": "age >= 40"}]}`,
+			map[string]any{"selectivities": sels}},
+	} {
+		status, body := doJSON(t, tc.method, ts.URL+tc.path, tc.body)
+		mustStatus(t, http.StatusOK, status, body)
+		want, _ := json.Marshal(tc.want)
+		if string(body) != string(want)+"\n" {
+			t.Errorf("%s %s: body %q, want %q", tc.method, tc.path, body, want)
+		}
+	}
 }

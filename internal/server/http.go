@@ -71,6 +71,7 @@ var routes = []Route{
 	{"POST /v1/{name}/observe", "observe", RouteWrite, (*Server).handleObserve},
 	{"GET /v1/{name}/estimate", "estimate", RouteRead, (*Server).handleEstimate},
 	{"POST /v1/{name}/estimate/batch", "estimate_batch", RouteRead, (*Server).handleEstimateBatch},
+	{"POST /v1/estimate/batch", "estimate_multi", RouteRead, (*Server).handleEstimateMulti},
 	{"POST /v1/{name}/train", "train", RouteWrite, (*Server).handleTrain},
 	{"GET /v1/{name}/versions", "versions", RouteRead, (*Server).handleVersions},
 	{"POST /v1/{name}/rollback", "rollback", RouteWrite, (*Server).handleRollback},
@@ -262,11 +263,22 @@ type errorBody struct {
 	Error string `json:"error"`
 }
 
+// writeJSON writes v indented, for the admin and error answers people read.
 func (s *Server) writeJSON(w http.ResponseWriter, status int, v any) {
+	writeBody(w, status, v, "  ")
+}
+
+// writeCompact writes v without indentation: the estimate answers, where
+// the indenting pass is paid on every request of the hot path.
+func (s *Server) writeCompact(w http.ResponseWriter, status int, v any) {
+	writeBody(w, status, v, "")
+}
+
+func writeBody(w http.ResponseWriter, status int, v any, indent string) {
 	w.Header().Set("Content-Type", "application/json")
 	w.WriteHeader(status)
 	enc := json.NewEncoder(w)
-	enc.SetIndent("", "  ")
+	enc.SetIndent("", indent)
 	_ = enc.Encode(v)
 }
 
@@ -515,12 +527,22 @@ func (s *Server) handleEstimate(w http.ResponseWriter, r *http.Request) {
 		s.writeError(w, err)
 		return
 	}
-	s.writeJSON(w, http.StatusOK, map[string]any{
-		"estimator":   name,
-		"where":       where,
-		"selectivity": sel,
-	})
+	s.writeCompact(w, http.StatusOK, &estimateResponse{Estimator: name, Selectivity: sel, Where: where})
 	sp.Stage("encode")
+}
+
+// estimateResponse answers GET /v1/{name}/estimate.
+type estimateResponse struct {
+	Estimator   string  `json:"estimator"`
+	Selectivity float64 `json:"selectivity"`
+	Where       string  `json:"where"`
+}
+
+// batchResponse answers both batch routes; the multi-estimator batch
+// leaves Estimator out.
+type batchResponse struct {
+	Estimator     string    `json:"estimator,omitempty"`
+	Selectivities []float64 `json:"selectivities"`
 }
 
 // estimateBatchRequest is the body of POST /v1/{name}/estimate/batch.
@@ -528,12 +550,13 @@ type estimateBatchRequest struct {
 	Wheres []string `json:"wheres"`
 }
 
-// MaxEstimateBatch bounds one batch-estimate request. The whole batch is
-// answered from one model generation; a trained QuickSel model answers it
-// without a lock, but the other methods (and a model with a fit pending)
-// hold the estimator lock for the whole batch, so an unbounded batch would
-// let one client stall every other estimate and the background trainer's
-// snapshot step on that estimator.
+// MaxEstimateBatch bounds one batch-estimate request, per-estimator or
+// multi-estimator. Each estimator's share of a batch is answered from one
+// model generation; a trained QuickSel model answers it without a lock, but
+// the other methods (and a model with a fit pending) hold the estimator
+// lock for that whole share, so an unbounded batch would let one client
+// stall every other estimate and the background trainer's snapshot step on
+// that estimator.
 const MaxEstimateBatch = 4096
 
 // handleEstimateBatch serves many estimates in one request, amortizing HTTP
@@ -567,10 +590,91 @@ func (s *Server) handleEstimateBatch(w http.ResponseWriter, r *http.Request) {
 		s.writeError(w, err)
 		return
 	}
-	s.writeJSON(w, http.StatusOK, map[string]any{
-		"estimator":     name,
-		"selectivities": sels,
-	})
+	s.writeCompact(w, http.StatusOK, &batchResponse{Estimator: name, Selectivities: sels})
+	sp.Stage("encode")
+}
+
+// EstimateQuery is one query of a multi-estimator batch.
+type EstimateQuery struct {
+	Estimator string `json:"estimator"`
+	Where     string `json:"where"`
+}
+
+// MultiEstimateRequest is the body of POST /v1/estimate/batch, on quickseld
+// and on quickselrouter alike.
+type MultiEstimateRequest struct {
+	Queries []EstimateQuery `json:"queries"`
+}
+
+// CheckEstimateQueries validates a multi-estimator batch before any of it
+// is served: it must be non-empty, within MaxEstimateBatch, and every query
+// must name an estimator and a WHERE clause.
+func CheckEstimateQueries(qs []EstimateQuery) error {
+	if len(qs) == 0 {
+		return errors.New("request needs a non-empty queries array")
+	}
+	if len(qs) > MaxEstimateBatch {
+		return fmt.Errorf("batch of %d exceeds the %d-query limit; split the request", len(qs), MaxEstimateBatch)
+	}
+	for i, q := range qs {
+		if q.Estimator == "" || q.Where == "" {
+			return fmt.Errorf("query %d: estimator and where are both required", i)
+		}
+	}
+	return nil
+}
+
+// handleEstimateMulti serves POST /v1/estimate/batch: queries spanning many
+// estimators in one request. It groups the queries by estimator and answers
+// each group with one Registry.EstimateBatch call, so every estimator's share
+// comes from a single serving record. Selectivities are returned in input
+// order. The first failing group, in order of first appearance, fails the
+// whole request with its status (unknown estimator 404, bad clause 400); the
+// error names the estimator, and a clause index in it counts only that
+// estimator's queries.
+func (s *Server) handleEstimateMulti(w http.ResponseWriter, r *http.Request) {
+	var req MultiEstimateRequest
+	if err := json.NewDecoder(r.Body).Decode(&req); err != nil {
+		s.writeError(w, fmt.Errorf("decode request: %w", err))
+		return
+	}
+	if err := CheckEstimateQueries(req.Queries); err != nil {
+		s.writeError(w, err)
+		return
+	}
+	sp := obs.SpanFrom(r.Context())
+	sp.Stage("decode")
+	groups := make(map[string][]int)
+	var order []string
+	for i, q := range req.Queries {
+		if _, ok := groups[q.Estimator]; !ok {
+			order = append(order, q.Estimator)
+		}
+		groups[q.Estimator] = append(groups[q.Estimator], i)
+	}
+	sels := make([]float64, len(req.Queries))
+	wheres := make([]string, 0, len(req.Queries))
+	var err error
+	for _, name := range order {
+		wheres = wheres[:0]
+		for _, i := range groups[name] {
+			wheres = append(wheres, req.Queries[i].Where)
+		}
+		var got []float64
+		if got, err = s.reg.EstimateBatch(name, wheres); err != nil {
+			err = fmt.Errorf("estimator %s: %w", name, err)
+			break
+		}
+		for k, i := range groups[name] {
+			sels[i] = got[k]
+		}
+	}
+	sp.Stage("model")
+	if err != nil {
+		s.writeError(w, err)
+		return
+	}
+	s.writeCompact(w, http.StatusOK, &batchResponse{Selectivities: sels})
 	sp.Stage("encode")
 }
 

@@ -233,6 +233,8 @@ func TestMetricsRequestsByRoute(t *testing.T) {
 	mustStatus(t, http.StatusOK, status, body)
 	status, body = doJSON(t, "POST", ts.URL+"/v1/people/estimate/batch", `{"wheres": ["salary < 1000"]}`)
 	mustStatus(t, http.StatusOK, status, body)
+	status, body = doJSON(t, "POST", ts.URL+"/v1/estimate/batch", `{"queries": [{"estimator": "people", "where": "age >= 40"}]}`)
+	mustStatus(t, http.StatusOK, status, body)
 	// Rejected requests count under their route and once as errors.
 	status, body = doJSON(t, "GET", ts.URL+"/v1/nobody/estimate?where=age+%3E%3D+40", "")
 	mustStatus(t, http.StatusNotFound, status, body)
@@ -246,7 +248,7 @@ func TestMetricsRequestsByRoute(t *testing.T) {
 	if !strings.Contains(text, "\nquickseld_request_errors_total 2\n") {
 		t.Errorf("/metrics lacks quickseld_request_errors_total 2:\n%s", text)
 	}
-	want := map[string]int{"create": 1, "estimate": 3, "estimate_batch": 2, "metrics": 1}
+	want := map[string]int{"create": 1, "estimate": 3, "estimate_batch": 2, "estimate_multi": 1, "metrics": 1}
 	for _, rt := range Routes() {
 		line := fmt.Sprintf("quickseld_requests_total{route=%q} %d\n", rt.Label, want[rt.Label])
 		if !strings.Contains(text, line) {

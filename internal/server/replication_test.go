@@ -555,7 +555,7 @@ func TestRequestBodyLimit(t *testing.T) {
 
 // TestFollowerGatesWriteRoutesOnly drives every client route of the route
 // table against a follower holding a replicated estimator: read routes —
-// batch estimates included — answer 200, write routes answer 503 with the
+// both batch estimates included — answer 200, write routes answer 503 with the
 // primary hint. A route added to the table without a case here fails.
 func TestFollowerGatesWriteRoutesOnly(t *testing.T) {
 	primary := newPrimary(t, nil)
@@ -581,6 +581,7 @@ func TestFollowerGatesWriteRoutesOnly(t *testing.T) {
 		"GET /v1/estimators":             {"GET", "/v1/estimators", "", http.StatusOK},
 		"GET /v1/{name}/estimate":        {"GET", "/v1/people/estimate?where=age+%3E%3D+30", "", http.StatusOK},
 		"POST /v1/{name}/estimate/batch": {"POST", "/v1/people/estimate/batch", `{"wheres": ["age >= 30", "salary < 60000"]}`, http.StatusOK},
+		"POST /v1/estimate/batch":        {"POST", "/v1/estimate/batch", `{"queries": [{"estimator": "people", "where": "age >= 30"}]}`, http.StatusOK},
 		"GET /v1/{name}/versions":        {"GET", "/v1/people/versions", "", http.StatusOK},
 		"GET /v1/{name}/accuracy":        {"GET", "/v1/people/accuracy", "", http.StatusOK},
 		"POST /v1/estimators":            {"POST", "/v1/estimators", `{"name": "x", "schema": ` + peopleSchema + `}`, http.StatusServiceUnavailable},
